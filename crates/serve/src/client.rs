@@ -448,6 +448,10 @@ fn open_stream(
                 }
                 None => TcpStream::connect(addr.as_str()).map_err(ClientError::Connect)?,
             };
+            // Requests are small frames followed by a wait for the
+            // reply: Nagle's algorithm would hold each one back until
+            // the server's delayed ACK.
+            stream.set_nodelay(true).map_err(ClientError::Connect)?;
             Ok(Stream::Tcp(stream))
         }
         Endpoint::Unix(path) => {
@@ -523,6 +527,18 @@ mod tests {
             ..options
         };
         assert_ne!(a, other.backoff_schedule(8), "different seeds must differ");
+    }
+
+    #[test]
+    fn tcp_streams_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+        for options in [ClientOptions::blocking(), ClientOptions::default()] {
+            match open_stream(&endpoint, &options, None).unwrap() {
+                Stream::Tcp(s) => assert!(s.nodelay().unwrap()),
+                Stream::Unix(_) => panic!("tcp endpoint opened a unix stream"),
+            }
+        }
     }
 
     #[test]

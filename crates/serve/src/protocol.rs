@@ -61,6 +61,11 @@ impl From<std::io::Error> for FrameError {
 
 /// Writes one length-prefixed frame.
 ///
+/// Prefix and payload go out as a single `write_all`: on a TCP stream
+/// a separate 4-byte prefix write is a small segment that Nagle's
+/// algorithm holds back until the peer's delayed ACK, and on a Unix
+/// socket it wakes the reader twice per frame.
+///
 /// # Errors
 ///
 /// Propagates I/O errors; [`FrameError::Oversized`] if the payload
@@ -73,10 +78,20 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError>
             max: MAX_FRAME_LEN,
         });
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    w.write_all(&frame_bytes(len, payload))?;
     w.flush()?;
     Ok(())
+}
+
+/// The wire bytes of a frame whose prefix announces `len`: the
+/// little-endian prefix followed by `payload`. `len` is normally
+/// `payload.len()`; the torn-reply failpoint passes the full length
+/// with a truncated payload.
+pub(crate) fn frame_bytes(len: u32, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
 }
 
 /// Reads one length-prefixed frame.
@@ -396,6 +411,40 @@ mod tests {
             read_frame(&mut cursor).unwrap_err(),
             FrameError::Closed
         ));
+    }
+
+    /// A `Write` that counts calls and accepts every byte offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+        flushes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_and_one_flush_per_frame() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!((w.writes, w.flushes), (1, 1));
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!((w.writes, w.flushes), (2, 2));
+        let mut expected = 5u32.to_le_bytes().to_vec();
+        expected.extend_from_slice(b"hello");
+        expected.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(w.bytes, expected, "wire format must not change");
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //! replaces only the pool, never the model or the type map.
 
 use crate::protocol::{
-    decode, encode, read_frame, write_frame, ErrorCode, FrameError, Health, Request, Response,
-    ServerStats, SymbolHints,
+    decode, encode, frame_bytes, read_frame, write_frame, ErrorCode, FrameError, Health, Request,
+    Response, ServerStats, SymbolHints,
 };
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -65,6 +65,9 @@ use typilus_types::PyType;
 /// Batches containing a request with this many prior panic
 /// involvements refuse it with [`ErrorCode::Quarantined`].
 const QUARANTINE_AFTER: u32 = 2;
+
+/// Pause before retrying after a failed `accept()`.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Where the daemon listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,10 +189,20 @@ enum ListenerKind {
 impl ListenerKind {
     fn accept(&self) -> std::io::Result<StreamKind> {
         match self {
-            ListenerKind::Tcp(l) => l.accept().map(|(s, _)| StreamKind::Tcp(s)),
+            ListenerKind::Tcp(l) => accept_tcp(l).map(StreamKind::Tcp),
             ListenerKind::Unix(l) => l.accept().map(|(s, _)| StreamKind::Unix(s)),
         }
     }
+}
+
+/// Accepts one TCP connection with Nagle's algorithm off. Every reply
+/// is one small frame the client is blocked on; with Nagle on, a
+/// reply that follows an unacknowledged segment on a reused
+/// connection would wait out the client's delayed ACK.
+fn accept_tcp(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 enum StreamKind {
@@ -708,6 +721,10 @@ fn accept_loop(
                 if shutdown.load(Ordering::SeqCst) {
                     break;
                 }
+                // A persistent failure (fd exhaustion, ...) must not
+                // spin a core the engine needs; back off briefly.
+                // lint: allow(D6) — fixed accept-retry pause; reads no clock, never reaches a reply
+                thread::sleep(ACCEPT_RETRY);
                 continue;
             }
         };
@@ -873,12 +890,13 @@ fn write_reply(stream: &mut StreamKind, resp: &Response) -> Result<(), FrameErro
             }
             Fault::ShortWrite(n) => {
                 // A torn reply: prefix plus the first `n` payload
-                // bytes, then failure — the client sees a mid-frame
-                // I/O error, never a bad decode.
+                // bytes in one write, as the real path sends a frame,
+                // then failure — the client sees a mid-frame I/O
+                // error, never a bad decode.
                 let len = u32::try_from(bytes.len()).unwrap_or(u32::MAX);
-                let _ = stream.write_all(&len.to_le_bytes());
                 let cut = bytes.len().min(n);
-                let _ = stream.write_all(bytes.get(..cut).unwrap_or(&bytes));
+                let torn = frame_bytes(len, bytes.get(..cut).unwrap_or(&bytes));
+                let _ = stream.write_all(&torn);
                 let _ = stream.flush();
                 return Err(FrameError::Io(std::io::Error::other(
                     "injected short write at serve.reply.write",
@@ -888,4 +906,17 @@ fn write_reply(stream: &mut StreamKind, resp: &Response) -> Result<(), FrameErro
         }
     }
     write_frame(stream, &bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_tcp_streams_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let accepted = accept_tcp(&listener).unwrap();
+        assert!(accepted.nodelay().unwrap());
+    }
 }

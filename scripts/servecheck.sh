@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Serve round-trip gate: trains a tiny sharded-index model, serves it
-# over a Unix socket, and asserts
+# over a Unix socket and then over loopback TCP, and asserts
 #
 #   1. the served predict report is byte-identical to one-shot
 #      `typilus predict` output over the same files (the serve
@@ -14,7 +14,10 @@
 #      render afterwards,
 #   4. the daemon shuts down cleanly on `query --shutdown` (exit 0),
 #   5. serving (including the in-memory add-marker and reindex) never
-#      modified the on-disk model or sidecar artifacts.
+#      modified the on-disk model or sidecar artifacts,
+#   6. a TCP daemon (`serve --addr 127.0.0.1:0`, port read from its
+#      readiness line) also serves the byte-identical report, leaves
+#      the artifacts untouched, and shuts down cleanly.
 #
 # Run from anywhere; operates on the repo root.
 set -euo pipefail
@@ -123,4 +126,38 @@ hash_after=$(artifact_hash)
     exit 1
 }
 echo "servecheck: artifacts untouched; clean shutdown"
+
+# 6. the same contract over loopback TCP, the transport remote editors
+# and the benchmark use
+"$BIN" serve --model "$WORK/model.typilus" --addr 127.0.0.1:0 \
+    >"$WORK/serve_tcp.log" 2>&1 &
+SERVER_PID=$!
+ADDR=
+for _ in $(seq 1 100); do
+    ADDR=$(sed -n 's|^serving .* on tcp://\([0-9.]*:[0-9]*\) .*|\1|p' "$WORK/serve_tcp.log")
+    [ -n "$ADDR" ] && break
+    sleep 0.1
+done
+[ -n "$ADDR" ] || {
+    echo "servecheck: TCP server did not come up" >&2
+    cat "$WORK/serve_tcp.log" >&2
+    exit 1
+}
+"$BIN" query --addr "$ADDR" --out "$WORK/served_tcp.txt" "${FILES[@]}"
+cmp "$WORK/oneshot.txt" "$WORK/served_tcp.txt" || {
+    echo "servecheck: TCP-served report differs from one-shot predict output" >&2
+    exit 1
+}
+"$BIN" query --addr "$ADDR" --shutdown >/dev/null
+wait "$SERVER_PID" || {
+    echo "servecheck: TCP server exited non-zero" >&2
+    cat "$WORK/serve_tcp.log" >&2
+    exit 1
+}
+SERVER_PID=
+[ "$hash_before" = "$(artifact_hash)" ] || {
+    echo "servecheck: TCP serving modified the on-disk artifacts" >&2
+    exit 1
+}
+echo "servecheck: TCP report byte-identical at $ADDR; artifacts untouched; clean shutdown"
 echo "servecheck: OK"
