@@ -577,9 +577,21 @@ impl TrainedSystem {
     ) -> Result<Vec<SymbolPrediction>, typilus_pyast::ParseError> {
         let parsed = typilus_pyast::parse(source)?;
         let table = typilus_pyast::SymbolTable::build(&parsed.module);
-        let graph = typilus_graph::build_graph(&parsed, &table, &self.config.graph, "<input>");
-        let prepared = self.model.prepare(&graph);
+        let prepared = self.prepare_parsed(&parsed, &table, "<input>");
         Ok(self.predict_prepared(&prepared, usize::MAX))
+    }
+
+    /// Graph and model inputs of parsed source: the shared middle of
+    /// `predict_source`, `suggest_source` and `add_marker`, which parse
+    /// once and keep `parsed`/`table` for their own use.
+    pub(crate) fn prepare_parsed(
+        &self,
+        parsed: &typilus_pyast::Parsed,
+        table: &typilus_pyast::SymbolTable,
+        label: &str,
+    ) -> PreparedFile {
+        let graph = typilus_graph::build_graph(parsed, table, &self.config.graph, label);
+        self.model.prepare(&graph)
     }
 
     /// Predicts over an already-prepared file.
@@ -646,8 +658,7 @@ impl TrainedSystem {
     ) -> Result<usize, AddMarkerError> {
         let parsed = typilus_pyast::parse(source).map_err(AddMarkerError::Parse)?;
         let table = typilus_pyast::SymbolTable::build(&parsed.module);
-        let graph = typilus_graph::build_graph(&parsed, &table, &self.config.graph, "<binding>");
-        let prepared = self.model.prepare(&graph);
+        let prepared = self.prepare_parsed(&parsed, &table, "<binding>");
         let idx = prepared
             .targets
             .iter()

@@ -68,7 +68,8 @@ impl TrainedSystem {
     ) -> Result<Vec<Suggestion>, typilus_pyast::ParseError> {
         let parsed = typilus_pyast::parse(source)?;
         let table = typilus_pyast::SymbolTable::build(&parsed.module);
-        let predictions = self.predict_source(source)?;
+        let prepared = self.prepare_parsed(&parsed, &table, "<input>");
+        let predictions = self.predict_prepared(&prepared, usize::MAX);
         Ok(self.verify_candidates(&parsed, &table, predictions, options))
     }
 

@@ -6,7 +6,9 @@
 //! meet-like lattice operator), and a single GRU cell as the update
 //! function, unrolled `T = 8` steps. Initial node states average learned
 //! subtoken embeddings (Eq. 7); token- and character-level variants back
-//! the Table 4 ablation.
+//! the Table 4 ablation. Each step updates only the nodes the targets'
+//! final states depend on, as listed by the file's receptive-field
+//! [`Schedule`](crate::schedule::Schedule).
 
 use crate::input::{NodeInit, PreparedFile, CHAR_VOCAB, NUM_RELATIONS};
 use serde::{Deserialize, Serialize};
@@ -72,44 +74,96 @@ impl GnnEncoder {
         }
     }
 
-    /// Initial node states `h⁰` for all nodes of a file.
-    fn initial_states(&self, tape: &mut Tape<'_>, file: &PreparedFile) -> Var {
+    /// Initial node states `h⁰` of `nodes`, one row per node in order.
+    fn initial_states(&self, tape: &mut Tape<'_>, file: &PreparedFile, nodes: &[u32]) -> Var {
+        let mean_of = |emb: &Embedding, tape: &mut Tape<'_>, per_node: &[Vec<usize>]| {
+            let mut ids = Vec::new();
+            let mut groups = Vec::new();
+            for (row, &n) in nodes.iter().enumerate() {
+                for &id in &per_node[n as usize] {
+                    ids.push(id);
+                    groups.push(row);
+                }
+            }
+            emb.lookup_mean(tape, &ids, &groups, nodes.len())
+        };
         match self.node_init {
-            NodeInit::Subtoken => {
-                let mut ids = Vec::new();
-                let mut groups = Vec::new();
-                for (n, subs) in file.node_subtokens.iter().enumerate() {
-                    for &s in subs {
-                        ids.push(s);
-                        groups.push(n);
-                    }
-                }
-                self.subtoken_embedding
-                    .lookup_mean(tape, &ids, &groups, file.num_nodes)
+            NodeInit::Subtoken => mean_of(&self.subtoken_embedding, tape, &file.node_subtokens),
+            NodeInit::Token => {
+                let ids: Vec<usize> = nodes
+                    .iter()
+                    .map(|&n| file.node_token_id[n as usize])
+                    .collect();
+                self.token_embedding.lookup(tape, &ids)
             }
-            NodeInit::Token => self.token_embedding.lookup(tape, &file.node_token_id),
-            NodeInit::Char => {
-                let mut ids = Vec::new();
-                let mut groups = Vec::new();
-                for (n, chars) in file.node_chars.iter().enumerate() {
-                    for &c in chars {
-                        ids.push(c);
-                        groups.push(n);
-                    }
-                }
-                self.char_embedding
-                    .lookup_mean(tape, &ids, &groups, file.num_nodes)
-            }
+            NodeInit::Char => mean_of(&self.char_embedding, tape, &file.node_chars),
         }
     }
 
-    /// Runs `T` steps of message passing and returns the final states of
-    /// all nodes, `[num_nodes, D]`.
-    pub fn node_states(&self, tape: &mut Tape<'_>, file: &PreparedFile) -> Var {
-        let mut h = self.initial_states(tape, file);
-        // Precompute flattened edge endpoints per relation.
-        let rels: Vec<(usize, Vec<usize>, Vec<usize>)> = file
-            .relations
+    /// Type embeddings of the file's prediction targets, `[targets, D]`.
+    ///
+    /// Runs the message-passing steps of the file's receptive-field
+    /// [`Schedule`](crate::schedule::Schedule): step `t` updates only the
+    /// nodes the targets' final states depend on, which gives the same
+    /// bits as updating every node. The file must have been prepared
+    /// with `Views::Graph` for this encoder's `node_init` and `steps`
+    /// (as [`TypeModel::prepare`](crate::TypeModel::prepare) does).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file has no targets (check before calling).
+    pub fn encode(&self, tape: &mut Tape<'_>, file: &PreparedFile) -> Var {
+        assert!(
+            !file.targets.is_empty(),
+            "encode requires at least one target"
+        );
+        #[cfg(test)]
+        if let Some(relations) = &file.all_nodes_oracle {
+            return self.encode_all_nodes(tape, file, relations);
+        }
+        let schedule = &file.schedule;
+        let mut h = self.initial_states(tape, file, &schedule.initial);
+        for step in &schedule.steps {
+            let rows = step.active.len();
+            let agg = if schedule.slots.is_empty() {
+                tape.input(Tensor::zeros(rows, self.dim))
+            } else {
+                let mut message_rows = Vec::with_capacity(schedule.slots.len());
+                for (&k, span) in schedule.slots.iter().zip(step.offsets.windows(2)) {
+                    let srcs = indices(&step.src[span[0] as usize..span[1] as usize]);
+                    let src_states = tape.gather(h, &srcs);
+                    message_rows.push(self.messages[k].apply(tape, src_states));
+                }
+                let all_messages = tape.concat_rows(&message_rows);
+                let dsts = indices(&step.dst);
+                match self.aggregation {
+                    Aggregation::Max => tape.segment_max(all_messages, &dsts, rows),
+                    Aggregation::Sum => tape.segment_sum(all_messages, &dsts, rows),
+                }
+            };
+            let prev = if step.carry.is_empty() {
+                h
+            } else {
+                tape.gather(h, &indices(&step.carry))
+            };
+            h = self.gru.step(tape, agg, prev);
+        }
+        tape.gather(h, &indices(&schedule.target_rows))
+    }
+
+    /// The all-nodes forward the schedule replaced, kept as the oracle
+    /// the pruned [`GnnEncoder::encode`] is tested against: `T` steps
+    /// over every node and every edge, then the target rows.
+    #[cfg(test)]
+    fn encode_all_nodes(
+        &self,
+        tape: &mut Tape<'_>,
+        file: &PreparedFile,
+        relations: &[Vec<(u32, u32)>],
+    ) -> Var {
+        let all: Vec<u32> = (0..file.num_nodes as u32).collect();
+        let mut h = self.initial_states(tape, file, &all);
+        let rels: Vec<(usize, Vec<usize>, Vec<usize>)> = relations
             .iter()
             .enumerate()
             .filter(|(_, edges)| !edges.is_empty())
@@ -143,44 +197,43 @@ impl GnnEncoder {
             };
             h = self.gru.step(tape, agg, h);
         }
-        h
-    }
-
-    /// Type embeddings of the file's prediction targets, `[targets, D]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file has no targets (check before calling).
-    pub fn encode(&self, tape: &mut Tape<'_>, file: &PreparedFile) -> Var {
-        assert!(
-            !file.targets.is_empty(),
-            "encode requires at least one target"
-        );
-        let h = self.node_states(tape, file);
         let idx: Vec<usize> = file.targets.iter().map(|t| t.node as usize).collect();
         tape.gather(h, &idx)
     }
 }
 
+/// Widens stored `u32` row indices for the tape's gather/segment ops.
+fn indices(rows: &[u32]) -> Vec<usize> {
+    rows.iter().map(|&r| r as usize).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{count_labels, prepare, PrepareConfig};
+    use crate::input::{count_labels, prepare, PrepareConfig, Views};
     use crate::vocab::Vocab;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use typilus_graph::{build_graph, GraphConfig};
     use typilus_pyast::{parse, SymbolTable};
 
-    fn file_and_vocabs(src: &str) -> (PreparedFile, Vocab, Vocab) {
+    fn file_and_vocabs_for(src: &str, node_init: NodeInit) -> (PreparedFile, Vocab, Vocab) {
         let parsed = parse(src).unwrap();
         let table = SymbolTable::build(&parsed.module);
         let graph = build_graph(&parsed, &table, &GraphConfig::default(), "t.py");
         let (sub, tok) = count_labels(std::slice::from_ref(&graph));
         let sv = Vocab::build(&sub, 1, 1000);
         let tv = Vocab::build(&tok, 1, 1000);
-        let file = prepare(&graph, &sv, &tv, &PrepareConfig::default());
+        let views = Views::Graph {
+            node_init,
+            steps: 4,
+        };
+        let file = prepare(&graph, &sv, &tv, &PrepareConfig::default(), views);
         (file, sv, tv)
+    }
+
+    fn file_and_vocabs(src: &str) -> (PreparedFile, Vocab, Vocab) {
+        file_and_vocabs_for(src, NodeInit::Subtoken)
     }
 
     fn encoder(sv: &Vocab, tv: &Vocab, params: &mut ParamSet, init: NodeInit) -> GnnEncoder {
@@ -209,8 +262,8 @@ mod tests {
 
     #[test]
     fn all_node_inits_work() {
-        let (file, sv, tv) = file_and_vocabs("x = some_value\n");
         for init in [NodeInit::Subtoken, NodeInit::Token, NodeInit::Char] {
+            let (file, sv, tv) = file_and_vocabs_for("x = some_value\n", init);
             let mut params = ParamSet::new();
             let enc = encoder(&sv, &tv, &mut params, init);
             let mut tape = Tape::new(&params);

@@ -1,11 +1,21 @@
 //! Model-ready views of a program graph.
 //!
-//! All three encoder families (graph, sequence, path) consume the same
-//! [`ProgramGraph`]; a [`PreparedFile`] precomputes the id tensors each
-//! needs: subtoken/token/char ids per node, edges grouped by label and
-//! direction, the token sequence with variable-consistency groups, and
-//! leaf-to-leaf AST paths per prediction target.
+//! Every encoder family starts from the same [`ProgramGraph`], but each
+//! reads different views of it, and a [`PreparedFile`] holds only the
+//! views of the family it was prepared for ([`Views`]):
+//!
+//! - the graph encoder: the ids its node initialisation reads
+//!   (subtoken, token or character ids per node) and the
+//!   receptive-field [`Schedule`] built from the edges, grouped by label
+//!   and direction;
+//! - the sequence and transformer encoders: subtoken ids per node, the
+//!   token sequence with variable-consistency groups, and each target's
+//!   sequence positions;
+//! - the path encoder: leaf-to-leaf AST paths per prediction target.
+//!
+//! The views an encoder does not read stay empty.
 
+use crate::schedule::Schedule;
 use crate::vocab::Vocab;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -56,35 +66,65 @@ pub struct LeafPath {
     pub element_ids: Vec<usize>,
 }
 
-/// A program graph preprocessed into the tensors the models need.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A program graph preprocessed into the tensors one encoder family
+/// reads (see [`Views`]); every view that family does not read is empty.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PreparedFile {
     /// Number of graph nodes.
     pub num_nodes: usize,
-    /// Subtoken ids per node.
+    /// Subtoken ids per node (subtoken-initialised graph view, token
+    /// view).
     pub node_subtokens: Vec<Vec<usize>>,
-    /// Whole-label id per node (token-level vocabulary).
+    /// Whole-label id per node (token-initialised graph view).
     pub node_token_id: Vec<usize>,
-    /// Character ids per node (bytes mapped into a small alphabet).
+    /// Character ids per node, bytes mapped into a small alphabet
+    /// (character-initialised graph view).
     pub node_chars: Vec<Vec<usize>>,
-    /// `(src, dst)` pairs per relation: index `2k` is label `k` forward,
-    /// `2k+1` is label `k` reversed.
-    pub relations: Vec<Vec<(u32, u32)>>,
-    /// Prediction targets.
+    /// The GGNN's receptive-field schedule over the edges, grouped into
+    /// relation slots `2k` (label `k` forward) and `2k+1` (label `k`
+    /// reversed) (graph view).
+    pub schedule: Schedule,
+    /// Prediction targets (every view).
     pub targets: Vec<PreparedTarget>,
-    /// Graph-node indices of the token sequence, in source order.
+    /// Graph-node indices of the token sequence, in source order (token
+    /// view).
     pub token_seq: Vec<u32>,
-    /// Consistency group per sequence position (positions bound to the
-    /// same symbol share a group id).
+    /// Consistency group per sequence position; positions bound to the
+    /// same symbol share a group id (token view).
     pub token_group: Vec<usize>,
-    /// Number of consistency groups.
+    /// Number of consistency groups (token view).
     pub num_groups: usize,
-    /// For each target, the sequence positions bound to its symbol.
+    /// For each target, the sequence positions bound to its symbol
+    /// (token view).
     pub target_positions: Vec<Vec<usize>>,
-    /// For each target, sampled leaf-to-leaf paths.
+    /// For each target, sampled leaf-to-leaf paths (path view).
     pub target_paths: Vec<Vec<LeafPath>>,
     /// Source file label.
     pub file: String,
+    /// Test-only: the file's `(src, dst)` pairs per relation slot. When
+    /// set, the graph encoder runs its all-nodes oracle forward over
+    /// them instead of the schedule.
+    #[cfg(test)]
+    pub(crate) all_nodes_oracle: Option<Vec<Vec<(u32, u32)>>>,
+}
+
+/// Which views [`prepare`] builds: exactly those one encoder family
+/// reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Views {
+    /// The graph encoder: the per-node ids its node initialisation
+    /// reads, the receptive-field schedule and the targets.
+    Graph {
+        /// Which per-node ids to build.
+        node_init: NodeInit,
+        /// Message-passing steps `T` the schedule covers.
+        steps: usize,
+    },
+    /// The sequence and transformer encoders: subtoken ids per node, the
+    /// token sequence, its consistency groups and the target positions.
+    Tokens,
+    /// The path encoder: sampled leaf-to-leaf paths per target.
+    Paths,
 }
 
 /// Construction options for [`PreparedFile`].
@@ -151,40 +191,14 @@ pub fn parse_ground_truth(annotation: Option<&str>) -> Option<PyType> {
     Some(ty)
 }
 
-/// Prepares one program graph for all encoders.
+/// Prepares one program graph for the encoder family `views` names.
 pub fn prepare(
     graph: &ProgramGraph,
     subtoken_vocab: &Vocab,
     token_vocab: &Vocab,
     config: &PrepareConfig,
+    views: Views,
 ) -> PreparedFile {
-    let num_nodes = graph.nodes.len();
-    let mut node_subtokens = Vec::with_capacity(num_nodes);
-    let mut node_token_id = Vec::with_capacity(num_nodes);
-    let mut node_chars = Vec::with_capacity(num_nodes);
-    for n in &graph.nodes {
-        let subs: Vec<usize> = subtokens(&n.label)
-            .iter()
-            .map(|s| subtoken_vocab.id(s))
-            .collect();
-        node_subtokens.push(if subs.is_empty() {
-            vec![crate::vocab::UNK_ID]
-        } else {
-            subs
-        });
-        node_token_id.push(token_vocab.id(&n.label));
-        let chars: Vec<usize> = n.label.chars().take(24).map(char_id).collect();
-        node_chars.push(if chars.is_empty() { vec![0] } else { chars });
-    }
-
-    // Relations: forward and reverse per label.
-    let mut relations = vec![Vec::new(); NUM_RELATIONS];
-    for e in &graph.edges {
-        let k = e.label.as_index();
-        relations[2 * k].push((e.src, e.dst));
-        relations[2 * k + 1].push((e.dst, e.src));
-    }
-
     // Targets with parsed ground truth.
     let targets: Vec<PreparedTarget> = graph
         .targets
@@ -197,143 +211,265 @@ pub fn prepare(
             ty: parse_ground_truth(t.annotation.as_deref()),
         })
         .collect();
+    let mut file = PreparedFile {
+        num_nodes: graph.nodes.len(),
+        targets,
+        file: graph.file.clone(),
+        ..PreparedFile::default()
+    };
+    match views {
+        Views::Graph { node_init, steps } => {
+            match node_init {
+                NodeInit::Subtoken => {
+                    file.node_subtokens = node_subtoken_ids(graph, subtoken_vocab)
+                }
+                NodeInit::Token => {
+                    file.node_token_id = graph
+                        .nodes
+                        .iter()
+                        .map(|n| token_vocab.id(&n.label))
+                        .collect();
+                }
+                NodeInit::Char => {
+                    file.node_chars = graph
+                        .nodes
+                        .iter()
+                        .map(|n| {
+                            let chars: Vec<usize> = n.label.chars().take(24).map(char_id).collect();
+                            if chars.is_empty() {
+                                vec![0]
+                            } else {
+                                chars
+                            }
+                        })
+                        .collect();
+                }
+            }
+            let target_nodes: Vec<u32> = file.targets.iter().map(|t| t.node).collect();
+            file.schedule =
+                Schedule::build(file.num_nodes, &relations(graph), &target_nodes, steps);
+        }
+        Views::Tokens => {
+            file.node_subtokens = node_subtoken_ids(graph, subtoken_vocab);
+            let occ = Occurrences::new(graph, config);
+            (file.token_group, file.num_groups) = occ.consistency_groups();
+            file.target_positions = occ.target_positions(&file.targets);
+            file.token_seq = occ.token_seq;
+        }
+        Views::Paths => {
+            let occ = Occurrences::new(graph, config);
+            file.target_paths =
+                occ.target_paths(graph, &file.targets, subtoken_vocab, token_vocab, config);
+        }
+    }
+    file
+}
 
-    // Sequence view: token nodes in creation order are source order.
-    let token_seq: Vec<u32> = graph
+/// Subtoken ids per node, `[UNK]` for labels without subtokens.
+fn node_subtoken_ids(graph: &ProgramGraph, subtoken_vocab: &Vocab) -> Vec<Vec<usize>> {
+    // Labels repeat heavily within a file (keywords, operators, names
+    // in use), so each distinct label is split and looked up once.
+    let mut by_label: HashMap<&str, Vec<usize>> = HashMap::new();
+    graph
         .nodes
         .iter()
-        .enumerate()
-        .filter(|(_, n)| n.kind == NodeKind::Token)
-        .map(|(i, _)| i as u32)
-        .take(config.max_seq_len)
-        .collect();
-    let pos_of_node: HashMap<u32, usize> =
-        token_seq.iter().enumerate().map(|(p, &n)| (n, p)).collect();
+        .map(|n| {
+            by_label
+                .entry(n.label.as_str())
+                .or_insert_with(|| {
+                    let subs: Vec<usize> = subtokens(&n.label)
+                        .iter()
+                        .map(|s| subtoken_vocab.id(s))
+                        .collect();
+                    if subs.is_empty() {
+                        vec![crate::vocab::UNK_ID]
+                    } else {
+                        subs
+                    }
+                })
+                .clone()
+        })
+        .collect()
+}
 
-    // Consistency groups: token positions bound to the same symbol node.
-    let mut symbol_group: HashMap<u32, usize> = HashMap::new();
-    let mut token_group = vec![0usize; token_seq.len()];
-    let mut next_group = 0usize;
-    // position -> symbol node; ordered so every walk over it is
-    // position-ascending (determinism contract, lint rule D1).
-    let mut bound: BTreeMap<usize, u32> = BTreeMap::new();
-    for e in graph.edges_with(EdgeLabel::OccurrenceOf) {
-        if let Some(&pos) = pos_of_node.get(&e.src) {
-            bound.insert(pos, e.dst);
+/// `(src, dst)` pairs per relation slot: slot `2k` is label `k` forward,
+/// `2k+1` is label `k` reversed; each slot keeps the graph's edge order.
+pub(crate) fn relations(graph: &ProgramGraph) -> Vec<Vec<(u32, u32)>> {
+    let mut relations = vec![Vec::new(); NUM_RELATIONS];
+    for e in &graph.edges {
+        let k = e.label.as_index();
+        relations[2 * k].push((e.src, e.dst));
+        relations[2 * k + 1].push((e.dst, e.src));
+    }
+    relations
+}
+
+/// The token sequence and the symbol occurrences along it, from which
+/// the token and path views derive.
+struct Occurrences {
+    /// Graph-node indices of the token nodes in source order, truncated
+    /// to `max_seq_len`.
+    token_seq: Vec<u32>,
+    /// Sequence position -> symbol node it is bound to; ordered so every
+    /// walk over it is position-ascending (determinism contract, lint
+    /// rule D1).
+    bound: BTreeMap<usize, u32>,
+    /// Symbol node -> its sequence positions, ascending.
+    positions_by_symbol: BTreeMap<u32, Vec<usize>>,
+    /// Symbol node -> the non-terminal it occurs at (return symbols have
+    /// no token occurrences; their occurrence edge comes from the
+    /// function-def non-terminal).
+    nonterm_occurrence: HashMap<u32, u32>,
+    /// AST parent of each node, from CHILD edges.
+    parent: Vec<Option<u32>>,
+}
+
+impl Occurrences {
+    fn new(graph: &ProgramGraph, config: &PrepareConfig) -> Occurrences {
+        // Token nodes in creation order are source order.
+        let token_seq: Vec<u32> = graph
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.kind == NodeKind::Token)
+            .map(|(i, _)| i as u32)
+            .take(config.max_seq_len)
+            .collect();
+        let pos_of_node: HashMap<u32, usize> =
+            token_seq.iter().enumerate().map(|(p, &n)| (n, p)).collect();
+        let mut bound: BTreeMap<usize, u32> = BTreeMap::new();
+        let mut nonterm_occurrence: HashMap<u32, u32> = HashMap::new();
+        for e in graph.edges_with(EdgeLabel::OccurrenceOf) {
+            if let Some(&pos) = pos_of_node.get(&e.src) {
+                bound.insert(pos, e.dst);
+            }
+            if graph.nodes[e.src as usize].kind == NodeKind::NonTerminal {
+                nonterm_occurrence.insert(e.dst, e.src);
+            }
+        }
+        let mut positions_by_symbol: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        for (&pos, &sym) in &bound {
+            positions_by_symbol.entry(sym).or_default().push(pos);
+        }
+        for v in positions_by_symbol.values_mut() {
+            v.sort_unstable();
+        }
+        let mut parent: Vec<Option<u32>> = vec![None; graph.nodes.len()];
+        for e in graph.edges_with(EdgeLabel::Child) {
+            parent[e.dst as usize] = Some(e.src);
+        }
+        Occurrences {
+            token_seq,
+            bound,
+            positions_by_symbol,
+            nonterm_occurrence,
+            parent,
         }
     }
-    for (pos, group) in token_group.iter_mut().enumerate() {
-        let g = match bound.get(&pos) {
-            Some(&sym) => *symbol_group.entry(sym).or_insert_with(|| {
-                let g = next_group;
-                next_group += 1;
-                g
-            }),
-            None => {
-                let g = next_group;
-                next_group += 1;
-                g
-            }
-        };
-        *group = g;
-    }
 
-    // Positions per target symbol.
-    let mut positions_by_symbol: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    for (&pos, &sym) in &bound {
-        positions_by_symbol.entry(sym).or_default().push(pos);
-    }
-    for v in positions_by_symbol.values_mut() {
-        v.sort_unstable();
-    }
-    // Return symbols have no token occurrences; use the occurrence edge
-    // from the function-def non-terminal: approximate with the nearest
-    // token position via OCCURRENCE_OF from non-terminals.
-    let mut nonterm_occurrence: HashMap<u32, u32> = HashMap::new();
-    for e in graph.edges_with(EdgeLabel::OccurrenceOf) {
-        if graph.nodes[e.src as usize].kind == NodeKind::NonTerminal {
-            nonterm_occurrence.insert(e.dst, e.src);
+    /// Consistency group per sequence position (positions bound to the
+    /// same symbol share a group; unbound positions get their own) and
+    /// the number of groups.
+    fn consistency_groups(&self) -> (Vec<usize>, usize) {
+        let mut symbol_group: HashMap<u32, usize> = HashMap::new();
+        let mut token_group = vec![0usize; self.token_seq.len()];
+        let mut next_group = 0usize;
+        for (pos, group) in token_group.iter_mut().enumerate() {
+            let g = match self.bound.get(&pos) {
+                Some(&sym) => *symbol_group.entry(sym).or_insert_with(|| {
+                    let g = next_group;
+                    next_group += 1;
+                    g
+                }),
+                None => {
+                    let g = next_group;
+                    next_group += 1;
+                    g
+                }
+            };
+            *group = g;
         }
-    }
-    // Paths: parent pointers from CHILD edges.
-    let mut parent: Vec<Option<u32>> = vec![None; num_nodes];
-    for e in graph.edges_with(EdgeLabel::Child) {
-        parent[e.dst as usize] = Some(e.src);
+        (token_group, next_group)
     }
 
-    let target_positions: Vec<Vec<usize>> = targets
-        .iter()
-        .map(|t| {
-            let direct = positions_by_symbol
-                .get(&t.node)
-                .cloned()
-                .unwrap_or_default();
-            if !direct.is_empty() {
-                return direct;
-            }
-            // Return symbols have no token occurrences; fall back to the
-            // function header tokens (children of the function-def node),
-            // which is how DeepTyper anchors return predictions.
-            match nonterm_occurrence.get(&t.node) {
-                Some(&func_node) => token_seq
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &n)| parent[n as usize] == Some(func_node))
-                    .map(|(p, _)| p)
-                    .take(4)
-                    .collect(),
-                None => Vec::new(),
-            }
-        })
-        .collect();
-    let identifier_tokens: Vec<u32> = token_seq
-        .iter()
-        .copied()
-        .filter(|&n| {
-            let label = &graph.nodes[n as usize].label;
-            label
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphabetic() || c == '_')
-        })
-        .collect();
-    let target_paths: Vec<Vec<LeafPath>> = targets
-        .iter()
-        .map(|t| {
-            let starts: Vec<u32> = positions_by_symbol
-                .get(&t.node)
-                .map(|ps| ps.iter().map(|&p| token_seq[p]).collect())
-                .unwrap_or_else(|| {
-                    nonterm_occurrence
-                        .get(&t.node)
-                        .map(|&n| vec![n])
-                        .unwrap_or_default()
-                });
-            sample_paths(
-                graph,
-                &parent,
-                &starts,
-                &identifier_tokens,
-                subtoken_vocab,
-                token_vocab,
-                config,
-            )
-        })
-        .collect();
+    /// The sequence positions bound to each target's symbol.
+    fn target_positions(&self, targets: &[PreparedTarget]) -> Vec<Vec<usize>> {
+        targets
+            .iter()
+            .map(|t| {
+                let direct = self
+                    .positions_by_symbol
+                    .get(&t.node)
+                    .cloned()
+                    .unwrap_or_default();
+                if !direct.is_empty() {
+                    return direct;
+                }
+                // Return symbols have no token occurrences; fall back to
+                // the function header tokens (children of the
+                // function-def node), which is how DeepTyper anchors
+                // return predictions.
+                match self.nonterm_occurrence.get(&t.node) {
+                    Some(&func_node) => self
+                        .token_seq
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &n)| self.parent[n as usize] == Some(func_node))
+                        .map(|(p, _)| p)
+                        .take(4)
+                        .collect(),
+                    None => Vec::new(),
+                }
+            })
+            .collect()
+    }
 
-    PreparedFile {
-        num_nodes,
-        node_subtokens,
-        node_token_id,
-        node_chars,
-        relations,
-        targets,
-        token_seq,
-        token_group,
-        num_groups: next_group,
-        target_positions,
-        target_paths,
-        file: graph.file.clone(),
+    /// Sampled leaf-to-leaf paths per target, starting at the target's
+    /// token occurrences (or its non-terminal occurrence).
+    fn target_paths(
+        &self,
+        graph: &ProgramGraph,
+        targets: &[PreparedTarget],
+        subtoken_vocab: &Vocab,
+        token_vocab: &Vocab,
+        config: &PrepareConfig,
+    ) -> Vec<Vec<LeafPath>> {
+        let identifier_tokens: Vec<u32> = self
+            .token_seq
+            .iter()
+            .copied()
+            .filter(|&n| {
+                let label = &graph.nodes[n as usize].label;
+                label
+                    .chars()
+                    .next()
+                    .is_some_and(|c| c.is_alphabetic() || c == '_')
+            })
+            .collect();
+        targets
+            .iter()
+            .map(|t| {
+                let starts: Vec<u32> = self
+                    .positions_by_symbol
+                    .get(&t.node)
+                    .map(|ps| ps.iter().map(|&p| self.token_seq[p]).collect())
+                    .unwrap_or_else(|| {
+                        self.nonterm_occurrence
+                            .get(&t.node)
+                            .map(|&n| vec![n])
+                            .unwrap_or_default()
+                    });
+                sample_paths(
+                    graph,
+                    &self.parent,
+                    &starts,
+                    &identifier_tokens,
+                    subtoken_vocab,
+                    token_vocab,
+                    config,
+                )
+            })
+            .collect()
     }
 }
 
@@ -413,24 +549,91 @@ mod tests {
     use typilus_graph::{build_graph, GraphConfig};
     use typilus_pyast::{parse, SymbolTable};
 
-    fn prepared(src: &str) -> PreparedFile {
+    fn graph_of(src: &str) -> ProgramGraph {
         let parsed = parse(src).unwrap();
         let table = SymbolTable::build(&parsed.module);
-        let graph = build_graph(&parsed, &table, &GraphConfig::default(), "t.py");
+        build_graph(&parsed, &table, &GraphConfig::default(), "t.py")
+    }
+
+    fn prepared_as(src: &str, views: Views) -> PreparedFile {
+        let graph = graph_of(src);
         let (sub, tok) = count_labels(std::slice::from_ref(&graph));
         let sv = Vocab::build(&sub, 1, 1000);
         let tv = Vocab::build(&tok, 1, 1000);
-        prepare(&graph, &sv, &tv, &PrepareConfig::default())
+        prepare(&graph, &sv, &tv, &PrepareConfig::default(), views)
     }
+
+    fn prepared(src: &str) -> PreparedFile {
+        prepared_as(src, Views::Tokens)
+    }
+
+    const FUNC: &str = "def f(count: int, label):\n    total = count + 1\n    return total\n";
 
     #[test]
     fn relations_include_reverses() {
-        let p = prepared("x = 1\ny = x\n");
+        let rels = relations(&graph_of("x = 1\ny = x\n"));
         let k = EdgeLabel::NextToken.as_index();
-        assert_eq!(p.relations[2 * k].len(), p.relations[2 * k + 1].len());
-        let fwd = &p.relations[2 * k][0];
-        let rev = &p.relations[2 * k + 1][0];
+        assert_eq!(rels[2 * k].len(), rels[2 * k + 1].len());
+        let fwd = &rels[2 * k][0];
+        let rev = &rels[2 * k + 1][0];
         assert_eq!((fwd.0, fwd.1), (rev.1, rev.0));
+    }
+
+    #[test]
+    fn graph_views_skip_sequence_and_path_views() {
+        for node_init in [NodeInit::Subtoken, NodeInit::Token, NodeInit::Char] {
+            let p = prepared_as(
+                FUNC,
+                Views::Graph {
+                    node_init,
+                    steps: 3,
+                },
+            );
+            assert!(p.token_seq.is_empty(), "{node_init:?}");
+            assert!(
+                p.token_group.is_empty() && p.num_groups == 0,
+                "{node_init:?}"
+            );
+            assert!(p.target_positions.is_empty(), "{node_init:?}");
+            assert!(p.target_paths.is_empty(), "{node_init:?}");
+            // Only the ids this initialisation reads, for every node.
+            let lens = (
+                p.node_subtokens.len(),
+                p.node_token_id.len(),
+                p.node_chars.len(),
+            );
+            let n = p.num_nodes;
+            let expected = match node_init {
+                NodeInit::Subtoken => (n, 0, 0),
+                NodeInit::Token => (0, n, 0),
+                NodeInit::Char => (0, 0, n),
+            };
+            assert_eq!(lens, expected, "{node_init:?}");
+            assert_eq!(p.schedule.steps.len(), 3);
+            assert_eq!(p.schedule.target_rows.len(), p.targets.len());
+            assert!(!p.targets.is_empty());
+        }
+    }
+
+    #[test]
+    fn token_and_path_views_fill_what_their_encoders_read() {
+        let tokens = prepared_as(FUNC, Views::Tokens);
+        assert_eq!(tokens.node_subtokens.len(), tokens.num_nodes);
+        assert!(!tokens.token_seq.is_empty());
+        assert_eq!(tokens.token_group.len(), tokens.token_seq.len());
+        assert!(tokens.num_groups > 0);
+        assert_eq!(tokens.target_positions.len(), tokens.targets.len());
+        assert!(tokens.target_positions.iter().any(|p| !p.is_empty()));
+        assert!(tokens.target_paths.is_empty());
+        assert!(tokens.node_token_id.is_empty() && tokens.node_chars.is_empty());
+        assert!(tokens.schedule.initial.is_empty() && tokens.schedule.steps.is_empty());
+
+        let paths = prepared_as(FUNC, Views::Paths);
+        assert_eq!(paths.target_paths.len(), paths.targets.len());
+        assert!(paths.target_paths.iter().any(|p| !p.is_empty()));
+        assert!(paths.token_seq.is_empty() && paths.target_positions.is_empty());
+        assert!(paths.node_subtokens.is_empty());
+        assert!(paths.schedule.initial.is_empty() && paths.schedule.steps.is_empty());
     }
 
     #[test]
@@ -477,7 +680,7 @@ mod tests {
 
     #[test]
     fn paths_exist_for_parameters() {
-        let p = prepared("def f(count):\n    return count + offset\n");
+        let p = prepared_as("def f(count):\n    return count + offset\n", Views::Paths);
         let count_idx = p.targets.iter().position(|t| t.name == "count").unwrap();
         assert!(
             !p.target_paths[count_idx].is_empty(),
@@ -490,9 +693,14 @@ mod tests {
 
     #[test]
     fn subtoken_fallback_to_unk() {
+        // Every node has at least one subtoken and one character id.
         let p = prepared("x = 1\n");
-        // Every node has at least one subtoken id.
         assert!(p.node_subtokens.iter().all(|s| !s.is_empty()));
+        let views = Views::Graph {
+            node_init: NodeInit::Char,
+            steps: 1,
+        };
+        let p = prepared_as("x = 1\n", views);
         assert!(p.node_chars.iter().all(|c| !c.is_empty()));
     }
 

@@ -17,16 +17,20 @@ pub mod gnn;
 pub mod input;
 pub mod loss;
 pub mod model;
+#[cfg(test)]
+mod oracle_tests;
 pub mod path;
+pub mod schedule;
 pub mod seq;
 pub mod transformer;
 pub mod vocab;
 
 pub use gnn::{Aggregation, GnnEncoder};
-pub use input::{NodeInit, PrepareConfig, PreparedFile, PreparedTarget};
+pub use input::{NodeInit, PrepareConfig, PreparedFile, PreparedTarget, Views};
 pub use loss::{classification_loss, space_loss, typilus_loss};
 pub use model::{EncoderKind, LossKind, ModelConfig, TypeModel};
 pub use path::PathEncoder;
+pub use schedule::{Schedule, ScheduleStep};
 pub use seq::SeqEncoder;
 pub use transformer::TransformerEncoder;
 pub use vocab::{TypeVocab, Vocab, UNK_ID};

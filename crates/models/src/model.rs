@@ -3,7 +3,7 @@
 //! grid of paper Table 2.
 
 use crate::gnn::{Aggregation, GnnEncoder};
-use crate::input::{count_labels, prepare, NodeInit, PrepareConfig, PreparedFile};
+use crate::input::{count_labels, prepare, NodeInit, PrepareConfig, PreparedFile, Views};
 use crate::loss::{classification_loss, space_loss, typilus_loss};
 use crate::path::PathEncoder;
 use crate::seq::SeqEncoder;
@@ -107,7 +107,6 @@ enum EncoderImpl {
 struct FileForward<'p> {
     tape: Tape<'p>,
     selected: Var,
-    value: Tensor,
     types: Vec<PyType>,
 }
 
@@ -221,13 +220,23 @@ impl TypeModel {
         }
     }
 
-    /// Prepares a graph with this model's vocabularies.
+    /// Prepares a graph with this model's vocabularies, building only the
+    /// views its encoder reads.
     pub fn prepare(&self, graph: &ProgramGraph) -> PreparedFile {
+        let views = match &self.encoder {
+            EncoderImpl::Graph(e) => Views::Graph {
+                node_init: e.node_init,
+                steps: e.steps,
+            },
+            EncoderImpl::Seq(_) | EncoderImpl::Transformer(_) => Views::Tokens,
+            EncoderImpl::Path(_) => Views::Paths,
+        };
         prepare(
             graph,
             &self.subtoken_vocab,
             &self.token_vocab,
             &self.config.prepare,
+            views,
         )
     }
 
@@ -383,12 +392,14 @@ impl TypeModel {
             return None;
         }
 
-        // Phase 2: one sequential tape for the batch-coupled loss.
+        // Phase 2: one sequential tape for the batch-coupled loss. Its
+        // inputs copy each file's embeddings into caller-pool buffers.
         let mut loss_tape = Tape::new(&self.params);
         let mut parts = Vec::new();
         let mut types = Vec::new();
         for fw in forwards.iter().flatten() {
-            parts.push(loss_tape.input(fw.value.clone()));
+            let embedding = typilus_nn::pooled_copy(fw.tape.value(fw.selected));
+            parts.push(loss_tape.input(embedding));
             types.extend(fw.types.iter().cloned());
         }
         let embeddings = loss_tape.concat_rows(&parts);
@@ -398,30 +409,26 @@ impl TypeModel {
 
         // Phase 3: per-file backward passes, seeded with d loss / d emb.
         // Jobs own their forward state; the closure consumes it, so each
-        // tape (and seed) is dropped on the worker whose arena backs it.
-        let mut seeds = seeds.into_iter();
-        let mut jobs: Vec<Option<(FileForward<'_>, Tensor)>> = forwards
+        // tape is dropped on the worker whose arena backs it. A worker
+        // seeds its backward with a copy from its own pool, and the
+        // caller recycles the seeds it allocated: the only buffers that
+        // change threads are the per-file gradients, which are retired
+        // through the shared pool after every worker has drawn its own
+        // (so no draw ever races a return).
+        let mut seed_refs = seeds.iter();
+        let mut jobs: Vec<Option<(FileForward<'_>, &Tensor)>> = forwards
             .into_iter()
-            .map(|fw| fw.map(|fw| (fw, seeds.next().expect("one seed per forward"))))
+            .map(|fw| fw.map(|fw| (fw, seed_refs.next().expect("one seed per forward"))))
             .collect();
         let per_file: Vec<Option<Gradients>> = pool.map_ordered_mut(&mut jobs, |_, job| {
             job.take().map(|(fw, seed)| {
-                let FileForward {
-                    tape,
-                    selected,
-                    value,
-                    types: _,
-                } = fw;
-                let grads = tape.backward_from(selected, seed);
-                // The value snapshot's buffer balances the seed that
-                // just migrated here from the caller: retire it through
-                // the shared pool so the caller's next-step loss-tape
-                // seeds can find a same-sized buffer (keeping worker
-                // and caller arenas flat instead of a one-way drift).
-                typilus_nn::recycle_shared(value);
-                grads
+                fw.tape
+                    .backward_from(fw.selected, typilus_nn::pooled_copy(seed))
             })
         });
+        for seed in seeds {
+            typilus_nn::recycle(seed);
+        }
         // Fixed (file-index) merge order keeps float accumulation
         // deterministic across thread counts.
         for g in per_file.into_iter().flatten() {
@@ -454,7 +461,7 @@ impl TypeModel {
         let mut parts = Vec::with_capacity(forwards.len());
         let mut types = Vec::new();
         for fw in &forwards {
-            parts.push(loss_tape.input(fw.value.clone()));
+            parts.push(loss_tape.input(fw.tape.value(fw.selected).clone()));
             types.extend(fw.types.iter().cloned());
         }
         let embeddings = loss_tape.concat_rows(&parts);
@@ -476,8 +483,8 @@ impl TypeModel {
         Some((value, grads))
     }
 
-    /// Phase-1 forward pass for one file: encode, keep annotated
-    /// targets, snapshot the selected-embedding value for the loss tape.
+    /// Phase-1 forward pass for one file: encode and keep annotated
+    /// targets.
     fn file_forward(&self, file: &PreparedFile) -> Option<FileForward<'_>> {
         let mut tape = Tape::new(&self.params);
         let emb = self.embed(&mut tape, file)?;
@@ -493,11 +500,9 @@ impl TypeModel {
             return None;
         }
         let selected = tape.gather(emb, &keep);
-        let value = tape.value(selected).clone();
         Some(FileForward {
             tape,
             selected,
-            value,
             types,
         })
     }

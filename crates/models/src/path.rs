@@ -91,7 +91,7 @@ impl PathEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{count_labels, prepare, PrepareConfig, PreparedFile};
+    use crate::input::{count_labels, prepare, PrepareConfig, PreparedFile, Views};
     use crate::vocab::Vocab;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -107,7 +107,7 @@ mod tests {
         let tv = Vocab::build(&tok, 1, 1000);
         let combined = sv.len() + tv.len();
         (
-            prepare(&graph, &sv, &tv, &PrepareConfig::default()),
+            prepare(&graph, &sv, &tv, &PrepareConfig::default(), Views::Paths),
             combined,
         )
     }

@@ -154,7 +154,7 @@ impl TransformerEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{count_labels, prepare, PrepareConfig};
+    use crate::input::{count_labels, prepare, PrepareConfig, Views};
     use crate::vocab::Vocab;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -168,7 +168,10 @@ mod tests {
         let (sub, tok) = count_labels(std::slice::from_ref(&graph));
         let sv = Vocab::build(&sub, 1, 1000);
         let tv = Vocab::build(&tok, 1, 1000);
-        (prepare(&graph, &sv, &tv, &PrepareConfig::default()), sv)
+        (
+            prepare(&graph, &sv, &tv, &PrepareConfig::default(), Views::Tokens),
+            sv,
+        )
     }
 
     #[test]

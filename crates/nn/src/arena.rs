@@ -88,8 +88,8 @@ impl Pool {
     /// non-power-of-two requests), then the exact class. Larger classes
     /// are deliberately left alone: serving a request from the class
     /// above wastes a 2× buffer on it — and under the worker pool that
-    /// buffer may then migrate to another thread (e.g. as a backward
-    /// seed), slowly draining the big classes of the thread that owns
+    /// buffer may then migrate to another thread (e.g. as a parameter
+    /// gradient), slowly draining the big classes of the thread that owns
     /// them and forcing it to re-allocate every step. A fresh exact-size
     /// allocation converges instead: each (thread, class) population is
     /// self-contained, so steady-state training stops allocating. Each
@@ -214,6 +214,13 @@ pub(crate) fn copy_of(t: &Tensor) -> Tensor {
     copy_slice(t.rows(), t.cols(), t.as_slice())
 }
 
+/// A copy of `t` in a buffer from the calling thread's pool: the pooled
+/// twin of `Tensor::clone`, for a thread that needs its own copy of a
+/// tensor another thread allocated (and will [`recycle`]).
+pub fn pooled_copy(t: &Tensor) -> Tensor {
+    copy_of(t)
+}
+
 /// A pooled `rows × cols` tensor initialised from a row-major slice.
 ///
 /// # Panics
@@ -227,7 +234,7 @@ pub(crate) fn copy_slice(rows: usize, cols: usize, data: &[f32]) -> Tensor {
 }
 
 /// Returns a tensor's buffer to the current thread's pool.
-pub(crate) fn recycle(t: Tensor) {
+pub fn recycle(t: Tensor) {
     recycle_vec(t.into_data());
 }
 
@@ -246,10 +253,9 @@ pub(crate) fn recycle_vec(buf: Vec<f32>) {
 
 /// Returns a tensor's buffer to the process-wide shared pool. Use at
 /// the points where a buffer allocated on one thread is retired on
-/// another (gradient merge on the caller, optimizer teardown, per-file
-/// value snapshots dropped on workers), so it can flow back to
-/// whichever thread next misses its local pool.
-pub fn recycle_shared(t: Tensor) {
+/// another (gradient merge on the caller, optimizer teardown), so it
+/// can flow back to whichever thread next misses its local pool.
+pub(crate) fn recycle_shared(t: Tensor) {
     recycle_vec_shared(t.into_data());
 }
 

@@ -37,7 +37,7 @@ pub mod simd;
 pub mod tape;
 pub mod tensor;
 
-pub use arena::{arena_stats, recycle_shared, reset_arena_stats, ArenaStats};
+pub use arena::{arena_stats, pooled_copy, recycle, reset_arena_stats, ArenaStats};
 pub use layers::{Embedding, GruCell, Linear};
 pub use log::{reset_warnings, warn_once, warning_count, warning_counts};
 pub use mode::{kernel_mode, set_kernel_mode, KernelMode};

@@ -10,7 +10,10 @@
 # one). Further legs force the SIMD tile width (TYPILUS_SIMD), the
 # naive reference kernels (TYPILUS_NN_NAIVE) and a kill-and-resume run
 # at a forced width: artifacts must be byte-identical across kernel
-# mode x SIMD width x thread count x resume path. Run from anywhere;
+# mode x SIMD width x thread count x resume path. On success it prints
+# the sha256 manifest of the reference run (model, index sidecar,
+# predict and eval output), so two commits can be checked for
+# byte-identical artifacts by diffing their manifests. Run from anywhere;
 # operates on the repo root. Expects `cargo build --release` to have
 # run (tier1.sh orders it that way) but builds on demand otherwise.
 set -euo pipefail
@@ -147,4 +150,16 @@ if [ "$status" -ne 0 ]; then
     echo "detcheck: FAILED — results depend on thread count, kernel variant or resume path" >&2
     exit "$status"
 fi
+# The reference run's manifest, for comparing the artifacts of two
+# commits (e.g. `diff` this block from a parent and a change).
+# predict.out names each input file by path, so its hash is taken with
+# this run's temporary directory stripped.
+manifest() { # manifest <label> < content
+    echo "  $(sha256sum | cut -d' ' -f1)  $1"
+}
+echo "detcheck: manifest (sha256, 1-thread reference run)"
+manifest model.typilus <"$WORK/t1/model.typilus"
+manifest model.typilus.space <"$WORK/ix1/model.typilus.space"
+sed "s|$WORK/||g" "$WORK/t1/predict.out" | manifest predict.out
+manifest eval.out <"$WORK/t1/eval.out"
 echo "detcheck: OK"
