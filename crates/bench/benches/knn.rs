@@ -1,11 +1,11 @@
-//! TypeSpace query benchmarks: exact brute-force kNN vs the Annoy-style
-//! random-projection forest (the paper uses Annoy to make τmap queries
-//! sub-linear), plus the end-to-end Eq. 5 prediction.
+//! TypeSpace query benchmarks: exact brute-force kNN vs the sharded
+//! Annoy-style random-projection index (the paper uses Annoy to make
+//! τmap queries sub-linear), plus the end-to-end Eq. 5 prediction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use typilus_space::{ExactIndex, KnnConfig, RpForest, RpForestConfig, TypeMap};
+use typilus_space::{ExactIndex, KnnConfig, PointStore, SpaceConfig, SpaceIndex, TypeMap};
 use typilus_types::PyType;
 
 fn random_points(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -21,13 +21,16 @@ fn bench_index_query(c: &mut Criterion) {
     for &n in &[1_000usize, 10_000, 50_000] {
         let points = random_points(n, dim, 1);
         let query: Vec<f32> = random_points(1, dim, 2).pop().expect("one point");
-        let exact = ExactIndex::new(points.clone());
-        let forest = RpForest::build(points, RpForestConfig::default(), 3);
+        let names: Vec<String> = (0..n).map(|i| format!("t{}", i % 5)).collect();
+        let store = PointStore::from_rows(points);
+        let sharded = SpaceIndex::build(&store, &names, &SpaceConfig::default(), 3, None)
+            .expect("index fits the on-disk id space");
+        let exact = ExactIndex::from_store(store);
         group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, _| {
             b.iter(|| criterion::black_box(exact.query(&query, 10)));
         });
-        group.bench_with_input(BenchmarkId::new("rp_forest", n), &n, |b, _| {
-            b.iter(|| criterion::black_box(forest.query(&query, 10)));
+        group.bench_with_input(BenchmarkId::new("sharded", n), &n, |b, _| {
+            b.iter(|| criterion::black_box(sharded.query(&query, 10)));
         });
     }
     group.finish();
@@ -51,8 +54,9 @@ fn bench_typemap_predict(c: &mut Criterion) {
     group.bench_function("exact_20k", |b| {
         b.iter(|| criterion::black_box(map.predict(&query, KnnConfig::default())));
     });
-    map.build_index(RpForestConfig::default(), 9);
-    group.bench_function("forest_20k", |b| {
+    map.build_sharded_index(&SpaceConfig::default(), 9, None)
+        .expect("index fits the on-disk id space");
+    group.bench_function("sharded_20k", |b| {
         b.iter(|| criterion::black_box(map.predict(&query, KnnConfig::default())));
     });
     group.finish();

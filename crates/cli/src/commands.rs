@@ -27,7 +27,7 @@ USAGE:
                      [--loss class|space|typilus] [--epochs N] [--dim D]
                      [--gnn-steps T] [--lr F] [--seed S] [--threads N]
                      [--knn-k K] [--knn-p P] [--profile]
-                     [--index exact|forest|sharded] [--shards N] [--trees N]
+                     [--index exact|sharded] [--shards N] [--trees N]
                      [--leaf-size N] [--search-k N] [--rebuild-threshold N]
                      [--checkpoint-dir DIR] [--resume] [--kill-after-epoch N]
   typilus predict    --model FILE [--top K] [--min-confidence F] [--check]
@@ -61,10 +61,10 @@ nearest markers, distance exponent p); k must be positive and p
 non-negative.
 
 --index picks the TypeSpace nearest-neighbour index built after
-training: exact (default, brute force), forest (in-memory RP forest),
-or sharded (the million-marker index: shard groups of trees built in
-parallel, persisted as an mmap-able `MODEL.space` sidecar that loads
-in O(header) and serves zero-copy). --shards/--trees/--leaf-size/
+training: exact (default, brute force) or sharded (the Annoy-style
+random-projection forest: shard groups of trees built in parallel,
+persisted as an mmap-able `MODEL.space` sidecar that loads in
+O(header) and serves zero-copy). --shards/--trees/--leaf-size/
 --search-k/--rebuild-threshold tune it.
 
 `typilus index` (re)builds the sharded index of an existing model and
@@ -220,21 +220,11 @@ pub fn train_cmd(args: &Args) -> CmdResult {
     };
     knn.validate()?;
     let space = space_config_from(args, SpaceConfig::default())?;
-    let (approximate_index, space) = match args.get("index").unwrap_or("exact") {
-        "exact" => (false, space),
-        "forest" => (true, SpaceConfig { shards: 1, ..space }),
-        "sharded" => (
-            true,
-            SpaceConfig {
-                shards: space.shards.max(2),
-                ..space
-            },
-        ),
+    let approximate_index = match args.get("index").unwrap_or("exact") {
+        "exact" => false,
+        "sharded" => true,
         other => {
-            return Err(ArgError(format!(
-                "--index: unknown mode {other:?} (exact|forest|sharded)"
-            ))
-            .into())
+            return Err(ArgError(format!("--index: unknown mode {other:?} (exact|sharded)")).into())
         }
     };
     let graph = GraphConfig::default();

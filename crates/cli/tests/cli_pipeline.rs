@@ -150,3 +150,61 @@ fn missing_required_option_fails() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--model"), "{stderr}");
 }
+
+#[test]
+fn index_modes_are_exact_or_sharded() {
+    // Not under `workdir()`: `full_cli_pipeline` deletes that
+    // directory while this test may still be running.
+    let dir = std::env::temp_dir().join(format!("typilus_cli_index_{}", std::process::id()));
+    let corpus = dir.join("corpus");
+    let out = bin()
+        .args(["gen-corpus", "--out", corpus.to_str().unwrap()])
+        .args(["--files", "20", "--seed", "5"])
+        .output()
+        .expect("gen-corpus runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let train = |index: &str, model: &PathBuf| {
+        bin()
+            .args(["train", "--corpus", corpus.to_str().unwrap()])
+            .args(["--model", model.to_str().unwrap()])
+            .args(["--epochs", "1", "--dim", "8", "--gnn-steps", "1"])
+            .args(["--index", index, "--shards", "1"])
+            .output()
+            .expect("train runs")
+    };
+
+    // The in-memory forest mode is gone: `forest` is an unknown mode.
+    let forest_model = dir.join("forest.typilus");
+    let out = train("forest", &forest_model);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown mode \"forest\""), "{stderr}");
+    assert!(!forest_model.exists());
+
+    // `--shards 1` is taken as given and still writes a sidecar.
+    let model = dir.join("sharded.typilus");
+    let out = train("sharded", &model);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let sidecar = dir.join("sharded.typilus.space");
+    assert!(sidecar.exists(), "sharded training writes the sidecar");
+    let out = bin()
+        .args(["index", "--model", model.to_str().unwrap(), "--info"])
+        .output()
+        .expect("index --info runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let info = String::from_utf8_lossy(&out.stdout);
+    assert!(info.contains(" 1 shards"), "{info}");
+    std::fs::remove_dir_all(&dir).ok();
+}

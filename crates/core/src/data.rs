@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use typilus_corpus::{deduplicate, split_with, Corpus, Split, DEFAULT_THRESHOLD};
 use typilus_graph::{build_graph, GraphConfig, ProgramGraph};
+use typilus_nn::{resolve_threads, WorkerPool};
 use typilus_pyast::{parse, Parsed, StmtKind, SymbolTable};
 use typilus_types::TypeHierarchy;
 
@@ -104,8 +105,10 @@ pub struct PreparedCorpus {
 impl PreparedCorpus {
     /// Builds graphs for every parseable, non-duplicate file and splits
     /// 70-10-20 (paper proportions). Extraction is embarrassingly
-    /// parallel and fans out across available cores (the paper extracts
-    /// graphs for 118k files, so this is the pipeline's batch stage).
+    /// parallel and fans out over a worker pool sized by
+    /// `TYPILUS_THREADS`, or the available cores when it is unset (the
+    /// paper extracts graphs for 118k files, so this is the pipeline's
+    /// batch stage).
     pub fn from_corpus(corpus: &Corpus, graph_config: &GraphConfig, seed: u64) -> PreparedCorpus {
         let named: Vec<(&str, &str)> = corpus
             .files
@@ -125,60 +128,36 @@ impl PreparedCorpus {
     ) -> PreparedCorpus {
         let sources: Vec<&str> = named_sources.iter().map(|(_, s)| *s).collect();
         let kept = deduplicate(&sources, DEFAULT_THRESHOLD);
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let chunk_size = kept.len().div_ceil(threads).max(1);
         // Each extraction result is either a usable file or a typed
         // skip reason: a broken file degrades to a quarantine entry
-        // instead of silently vanishing (or killing the worker).
-        type Extracted = Result<SourceFile, (String, SkipReason)>;
-        let mut per_chunk: Vec<Vec<Extracted>> = Vec::new();
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = kept
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .map(|&idx| {
-                                let (name, source) = named_sources[idx];
-                                let parsed = match parse(source) {
-                                    Ok(parsed) => parsed,
-                                    Err(e) => {
-                                        return Err((
-                                            name.to_string(),
-                                            SkipReason::ParseError(e.to_string()),
-                                        ))
-                                    }
-                                };
-                                let table = SymbolTable::build(&parsed.module);
-                                let graph = build_graph(&parsed, &table, graph_config, name);
-                                // An empty or comment-only file builds just the
-                                // module-root node: nothing to train on.
-                                if graph.node_count() <= 1 {
-                                    return Err((name.to_string(), SkipReason::EmptyGraph));
-                                }
-                                Ok(SourceFile {
-                                    name: name.to_string(),
-                                    source: source.to_string(),
-                                    parsed,
-                                    table,
-                                    graph,
-                                })
-                            })
-                            .collect::<Vec<Extracted>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                per_chunk.push(h.join().expect("extraction worker panicked"));
+        // instead of silently vanishing (or killing the worker). The
+        // pool returns results in input order, so files, quarantine and
+        // split do not depend on the thread count.
+        let pool = WorkerPool::new(resolve_threads(None));
+        let extracted = pool.map_ordered(&kept, |_, &idx| {
+            let (name, source) = named_sources[idx];
+            let parsed = match parse(source) {
+                Ok(parsed) => parsed,
+                Err(e) => return Err((name.to_string(), SkipReason::ParseError(e.to_string()))),
+            };
+            let table = SymbolTable::build(&parsed.module);
+            let graph = build_graph(&parsed, &table, graph_config, name);
+            // An empty or comment-only file builds just the module-root
+            // node: nothing to train on.
+            if graph.node_count() <= 1 {
+                return Err((name.to_string(), SkipReason::EmptyGraph));
             }
-        })
-        .expect("extraction scope panicked");
+            Ok(SourceFile {
+                name: name.to_string(),
+                source: source.to_string(),
+                parsed,
+                table,
+                graph,
+            })
+        });
         let mut files = Vec::new();
         let mut quarantine = Quarantine::default();
-        for extracted in per_chunk.into_iter().flatten() {
+        for extracted in extracted {
             match extracted {
                 Ok(file) => files.push(file),
                 Err((name, reason)) => {

@@ -99,10 +99,9 @@ pub struct TypilusConfig {
     /// type map; small maps use exact search.
     pub approximate_index: bool,
     /// Sharded TypeSpace index parameters (shard count, per-tree
-    /// forest knobs, overlay rebuild threshold). With more than one
-    /// shard the approximate index is built sharded — in parallel,
-    /// persisted as an mmap-able sidecar; one shard keeps the
-    /// in-memory forest.
+    /// forest knobs, overlay rebuild threshold). The approximate index
+    /// is built sharded — in parallel, persisted as an mmap-able
+    /// sidecar.
     pub space: SpaceConfig,
     /// Types seen at least this many times in training count as
     /// *common* in the evaluation breakdown (paper: 100 at full scale).
@@ -495,16 +494,11 @@ pub fn train_with_options(
         }
     }
     if config.approximate_index && type_map.len() > 64 {
-        if config.space.shards > 1 {
-            // Sharded build on the training pool: byte-identical at any
-            // thread count, and the index persists as an mmap-able
-            // sidecar on save.
-            if let Err(e) = type_map.build_sharded_index(&config.space, config.seed, Some(&pool)) {
-                eprintln!("typilus: sharded index build failed ({e}); using in-memory forest");
-                type_map.build_index(config.space.forest, config.seed);
-            }
-        } else {
-            type_map.build_index(config.space.forest, config.seed);
+        // Sharded build on the training pool: byte-identical at any
+        // thread count, and the index persists as an mmap-able sidecar
+        // on save.
+        if let Err(e) = type_map.build_sharded_index(&config.space, config.seed, Some(&pool)) {
+            eprintln!("typilus: sharded index build failed ({e}); using exact search");
         }
     }
 

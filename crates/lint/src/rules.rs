@@ -504,7 +504,7 @@ fn rule_d3_env_reads(cx: &FileCx, diags: &mut Vec<Diagnostic>) {
 /// closures. A panic there must carry a real payload through the pool's
 /// panic path; bare unwraps turn data bugs into opaque worker deaths.
 fn rule_d4_unwrap_in_workers(cx: &FileCx, diags: &mut Vec<Diagnostic>) {
-    const ENTRY_POINTS: &[&str] = &["spawn", "map_ordered", "map_ordered_mut", "par_map_ordered"];
+    const ENTRY_POINTS: &[&str] = &["spawn", "map_ordered", "map_ordered_mut"];
     let code = &cx.code;
     for i in 0..code.len() {
         if code[i].kind != TokKind::Ident || !ENTRY_POINTS.contains(&code[i].text) {

@@ -437,52 +437,6 @@ impl TypeModel {
         Some((value, grads))
     }
 
-    /// The spawn-per-call predecessor of [`TypeModel::train_step_parallel`]:
-    /// the same three phases fanned over fresh scoped threads via
-    /// [`typilus_nn::par_map_ordered`]. Retained as the reference
-    /// implementation the pooled path is benchmarked (`bench_pool`) and
-    /// regression-tested against; results are bit-identical to the
-    /// pooled path at every thread count.
-    pub fn train_step_spawning(
-        &self,
-        batch: &[&PreparedFile],
-        threads: usize,
-    ) -> Option<(f32, Gradients)> {
-        // Phase 1: independent per-file forward passes.
-        let forwards: Vec<Option<FileForward<'_>>> =
-            typilus_nn::par_map_ordered(batch, threads, |_, file| self.file_forward(file));
-        let forwards: Vec<FileForward<'_>> = forwards.into_iter().flatten().collect();
-        if forwards.is_empty() {
-            return None;
-        }
-
-        // Phase 2: one sequential tape for the batch-coupled loss.
-        let mut loss_tape = Tape::new(&self.params);
-        let mut parts = Vec::with_capacity(forwards.len());
-        let mut types = Vec::new();
-        for fw in &forwards {
-            parts.push(loss_tape.input(fw.tape.value(fw.selected).clone()));
-            types.extend(fw.types.iter().cloned());
-        }
-        let embeddings = loss_tape.concat_rows(&parts);
-        let loss = self.loss(&mut loss_tape, embeddings, &types);
-        let value = loss_tape.value(loss).item();
-        let (mut grads, seeds) = loss_tape.backward_with_inputs(loss, &parts);
-
-        // Phase 3: per-file backward passes, seeded with d loss / d emb.
-        let jobs: Vec<(&FileForward<'_>, Tensor)> = forwards.iter().zip(seeds).collect();
-        let per_file: Vec<Gradients> =
-            typilus_nn::par_map_ordered(&jobs, threads, |_, (fw, seed)| {
-                fw.tape.backward_from(fw.selected, seed.clone())
-            });
-        // Fixed (file-index) merge order keeps float accumulation
-        // deterministic across thread counts.
-        for g in per_file {
-            grads.merge(g);
-        }
-        Some((value, grads))
-    }
-
     /// Phase-1 forward pass for one file: encode and keep annotated
     /// targets.
     fn file_forward(&self, file: &PreparedFile) -> Option<FileForward<'_>> {
@@ -648,9 +602,7 @@ mod tests {
     }
 
     /// The pooled parallel step must return the exact `train_step` loss
-    /// value, and bit-identical gradients for every pool size — and
-    /// agree bit-for-bit with the spawn-per-call predecessor it
-    /// replaced.
+    /// value, and bit-identical gradients for every pool size.
     #[test]
     fn parallel_step_is_thread_count_invariant() {
         let gs = graphs(TRAIN);
@@ -687,8 +639,6 @@ mod tests {
                 let pool = WorkerPool::new(threads);
                 let (n_loss, n_grads) = model.train_step_parallel(&batch, &pool).unwrap();
                 check(n_loss, &n_grads, &format!("pool of {threads}"));
-                let (s_loss, s_grads) = model.train_step_spawning(&batch, threads).unwrap();
-                check(s_loss, &s_grads, &format!("spawning {threads} threads"));
             }
         }
     }

@@ -42,9 +42,7 @@ pub use layers::{Embedding, GruCell, Linear};
 pub use log::{reset_warnings, warn_once, warning_count, warning_counts};
 pub use mode::{kernel_mode, set_kernel_mode, KernelMode};
 pub use optim::{Adam, Sgd};
-pub use par::{
-    par_map_ordered, parse_thread_spec, resolve_threads, try_resolve_threads, ThreadConfigError,
-};
+pub use par::{parse_thread_spec, resolve_threads, try_resolve_threads, ThreadConfigError};
 pub use params::{Gradients, ParamId, ParamSet};
 pub use pool::{PoolCell, WorkerPool};
 pub use profile::{

@@ -1,16 +1,8 @@
-//! Deterministic data-parallel execution helpers.
-//!
-//! [`par_map_ordered`] fans work across crossbeam scoped threads
-//! spawned per call; the persistent engine that supersedes it for
-//! steady-state training lives in [`crate::pool`]. Both share the same
-//! contract: results are always returned in input order and every
-//! reduction over them happens sequentially in that order — so any
-//! float accumulation downstream is bit-identical for every thread
-//! count, including 1.
+//! Worker-thread count resolution for the data-parallel engine in
+//! [`crate::pool`].
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// An invalid thread-count specification (from `TYPILUS_THREADS`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,120 +82,9 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
     }
 }
 
-/// Applies `f` to every item, fanning across at most `threads` scoped
-/// threads, and returns the results in input order.
-///
-/// Items are assigned to workers by striding (worker `t` takes items
-/// `t, t + threads, …`); each result lands in its item's slot, so the
-/// output order — and therefore any ordered reduction over it — does
-/// not depend on the thread count or on scheduling.
-///
-/// # Panics
-///
-/// If `f` panics on any worker, the first panic payload is captured,
-/// outstanding work is cancelled (remaining workers stop before their
-/// next item), and the payload is re-raised on the caller via
-/// [`std::panic::resume_unwind`] — the original assertion message
-/// survives.
-pub fn par_map_ordered<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len());
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    let cancel = &AtomicBool::new(false);
-    let first_panic: &Mutex<Option<Box<dyn std::any::Any + Send>>> = &Mutex::new(None);
-    crossbeam::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move |_| {
-                    let mut out = Vec::new();
-                    let mut i = t;
-                    while i < items.len() {
-                        if cancel.load(SeqCst) {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                            Ok(r) => out.push((i, r)),
-                            Err(payload) => {
-                                cancel.store(true, SeqCst);
-                                let mut slot = first_panic
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
-                                break;
-                            }
-                        }
-                        i += threads;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("worker panics are captured in-thread") {
-                slots[i] = Some(r);
-            }
-        }
-    })
-    .expect("thread scope failed");
-    if let Some(payload) = first_panic
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take()
-    {
-        resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every slot is filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_stay_in_input_order() {
-        let items: Vec<usize> = (0..37).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let out = par_map_ordered(&items, threads, |i, &x| {
-                assert_eq!(i, x);
-                x * 2
-            });
-            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let out: Vec<u32> = par_map_ordered(&[] as &[u32], 4, |_, &x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn float_reduction_is_thread_count_invariant() {
-        let items: Vec<f32> = (0..100).map(|i| (i as f32).sin() * 1e-3).collect();
-        let reduce = |threads: usize| -> f32 {
-            par_map_ordered(&items, threads, |_, &x| x * x + 0.1)
-                .iter()
-                .sum()
-        };
-        let one = reduce(1);
-        for threads in [2, 4, 7] {
-            assert_eq!(one.to_bits(), reduce(threads).to_bits());
-        }
-    }
 
     #[test]
     fn explicit_thread_request_wins() {
@@ -222,23 +103,5 @@ mod tests {
             assert_eq!(err.value, bad.trim());
             assert!(err.to_string().contains("TYPILUS_THREADS"));
         }
-    }
-
-    #[test]
-    fn worker_panic_payload_survives() {
-        let items: Vec<usize> = (0..64).collect();
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            par_map_ordered(&items, 4, |i, _| {
-                assert!(i != 23, "item 23 exploded");
-                i
-            })
-        }))
-        .expect_err("panic must propagate");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(msg.contains("item 23 exploded"), "payload lost: {msg:?}");
     }
 }

@@ -1,16 +1,14 @@
 //! A persistent worker pool with warm thread-local arenas.
 //!
-//! [`crate::par::par_map_ordered`] spawns fresh crossbeam threads on
-//! every call, so each worker's thread-local [`crate::arena`] pool dies
-//! with it and every parallel batch re-allocates what the sequential
-//! path reuses. A [`WorkerPool`] keeps its workers — and therefore their
-//! arenas — alive across calls: workers are created once (per
-//! `Parallelism` resolution, in practice) and serve `par_map_ordered`-
-//! shaped jobs for the lifetime of the pool.
+//! This is the crate's one data-parallel primitive. A [`WorkerPool`]
+//! keeps its workers — and therefore their thread-local
+//! [`crate::arena`] pools — alive across calls: workers are created
+//! once (per `Parallelism` resolution, in practice) and serve
+//! ordered-map jobs for the lifetime of the pool, so a parallel batch
+//! reuses what the previous one allocated.
 //!
-//! The execution contract is identical to `par_map_ordered`, so results
-//! are bit-identical to it — and to the sequential path — at every
-//! thread count:
+//! Results are bit-identical to the sequential path at every thread
+//! count:
 //!
 //! * work is assigned by **striding** (stripe `t` takes items
 //!   `t, t + w, …` where `w = min(threads, items.len())`);
@@ -450,20 +448,6 @@ mod tests {
         let one = reduce(1);
         for threads in [2, 4, 7] {
             assert_eq!(one.to_bits(), reduce(threads).to_bits());
-        }
-    }
-
-    #[test]
-    fn agrees_with_spawn_per_call_primitive() {
-        // The pool must be a drop-in replacement for the crossbeam
-        // spawn-per-call engine it supersedes.
-        let items: Vec<f32> = (0..157).map(|i| (i as f32).sin()).collect();
-        for threads in [2, 3, 5] {
-            let pool = WorkerPool::new(threads);
-            let pooled = pool.map_ordered(&items, |i, &x| (x * i as f32).to_bits());
-            let spawned =
-                crate::par::par_map_ordered(&items, threads, |i, &x| (x * i as f32).to_bits());
-            assert_eq!(pooled, spawned);
         }
     }
 

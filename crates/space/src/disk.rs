@@ -665,8 +665,9 @@ impl SpaceIndex {
     }
 
     /// The approximate `k` nearest points in ascending distance —
-    /// exactly the hits [`crate::shard::reference_forest`] returns for
-    /// the same `(points, config, seed)`.
+    /// exactly the hits the test-only in-memory reference forest
+    /// (`shard::reference_forest`) returns for the same
+    /// `(points, config, seed)`.
     pub fn query(&self, query: &[f32], k: usize) -> Vec<Hit> {
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();

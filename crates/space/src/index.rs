@@ -1,9 +1,12 @@
-//! Nearest-neighbour indexes over the TypeSpace (L1 metric).
+//! Nearest-neighbour building blocks over the TypeSpace (L1 metric).
 //!
-//! The paper uses Annoy for sub-linear kNN queries. [`RpForest`] is an
-//! Annoy-style forest of random-projection trees with priority search;
-//! [`ExactIndex`] is the brute-force reference used in tests and for
-//! small type maps.
+//! The paper uses Annoy for sub-linear kNN queries. This module holds
+//! the pieces the sharded on-disk index ([`crate::SpaceIndex`]) is made
+//! of — the Annoy-style random-projection tree builder, the
+//! priority-search [`QueryScratch`] and the bounded top-k kernel — plus
+//! [`ExactIndex`], the brute-force reference used in tests and
+//! benchmarks. The in-memory `RpForest` that the on-disk index is
+//! defined against is a test-only oracle.
 //!
 //! Points live in a [`PointStore`]: one contiguous row-major `Vec<f32>`
 //! rather than a `Vec<Vec<f32>>`, so the distance kernel streams
@@ -19,9 +22,8 @@
 //! top-k heap) — the allocating `query` wrappers remain for tests and
 //! one-off callers. The priority-search frontier is ordered by
 //! `(margin, insertion sequence)`, a total order independent of how
-//! tree nodes are addressed, so the in-memory forest and the zero-copy
-//! on-disk view (`crate::disk`) visit candidates in exactly the same
-//! order.
+//! tree nodes are addressed, so the in-memory oracle forest and the
+//! zero-copy on-disk view visit candidates in exactly the same order.
 
 use crate::error::SpaceError;
 pub use crate::kernel::{l1, l1_pruned, l1_pruned_reference, l1_reference};
@@ -463,7 +465,8 @@ impl ExactIndex {
     }
 }
 
-/// Construction options for [`RpForest`].
+/// Construction and search options for the random-projection trees of
+/// the sharded index.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RpForestConfig {
     /// Number of trees; more trees, better recall.
@@ -485,7 +488,7 @@ impl Default for RpForestConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) enum TreeNode {
     Leaf {
         points: Vec<usize>,
@@ -592,23 +595,22 @@ impl<'a> TreeBuilder<'a> {
     }
 }
 
-/// An Annoy-style forest of random-projection trees under L1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RpForest {
+/// An Annoy-style forest of random-projection trees under L1, held in
+/// memory: the test oracle the zero-copy on-disk index must reproduce.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct RpForest {
     points: PointStore,
     nodes: Vec<TreeNode>,
     roots: Vec<usize>,
     config: RpForestConfig,
 }
 
+#[cfg(test)]
 impl RpForest {
     /// Builds the forest over `points`.
     pub fn build(points: Vec<Vec<f32>>, config: RpForestConfig, seed: u64) -> RpForest {
-        RpForest::from_store(PointStore::from_rows(points), config, seed)
-    }
-
-    /// Builds the forest over already-contiguous points.
-    pub fn from_store(points: PointStore, config: RpForestConfig, seed: u64) -> RpForest {
+        let points = PointStore::from_rows(points);
         let mut builder = TreeBuilder::new(&points, config);
         builder.build_trees(config.trees, seed);
         let TreeBuilder { nodes, roots, .. } = builder;
@@ -634,11 +636,6 @@ impl RpForest {
             roots,
             config,
         }
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
     }
 
     /// Whether the index is empty.

@@ -6,8 +6,8 @@
 //! random-projection forest for sub-linear queries under L1 (the paper
 //! uses Annoy with the same metric).
 //!
-//! For million-marker spaces the forest scales through the sharded
-//! machinery: [`shard`] builds tree groups in parallel with
+//! The forest is sharded so it scales to million-marker spaces:
+//! [`shard`] builds tree groups in parallel with
 //! deterministic per-shard seeds, [`disk`] lays the whole index out in
 //! a contiguous little-endian format that [`SpaceIndex`] queries
 //! zero-copy straight from a memory-mapped (or any borrowed) view, and
@@ -36,13 +36,16 @@ pub mod kernel;
 pub mod shard;
 pub mod typemap;
 
+#[cfg(test)]
+mod oracle_tests;
+
 pub use disk::{
     build_payload, AlignedBytes, SpaceIndex, SPACE_HEADER_LEN, SPACE_MAGIC, SPACE_VERSION,
 };
 pub use error::SpaceError;
 pub use index::{
     l1, l1_pruned, l1_pruned_reference, l1_reference, ExactIndex, Hit, PointStore, QueryScratch,
-    RpForest, RpForestConfig,
+    RpForestConfig,
 };
-pub use shard::{reference_forest, SpaceConfig};
+pub use shard::SpaceConfig;
 pub use typemap::{KnnConfig, TypeMap, TypePrediction};

@@ -11,7 +11,9 @@
 //! including a serial build with no pool at all. The benchmark and
 //! detcheck assert this byte-identity.
 
-use crate::index::{PointStore, RpForest, RpForestConfig, TreeBuilder, TreeNode};
+#[cfg(test)]
+use crate::index::RpForest;
+use crate::index::{PointStore, RpForestConfig, TreeBuilder, TreeNode};
 use serde::{Deserialize, Serialize};
 use typilus_nn::WorkerPool;
 
@@ -110,11 +112,12 @@ pub(crate) fn build_shards(
 }
 
 /// The in-memory equivalent of the sharded on-disk index: every
-/// shard's trees merged into a single [`RpForest`] (node indexes
+/// shard's trees merged into a single `RpForest` (node indexes
 /// rebased, roots concatenated in shard order). The on-disk writer
 /// consumes the identical per-shard tree sets, so tests can assert the
-/// zero-copy view returns exactly this forest's results.
-pub fn reference_forest(points: PointStore, config: &SpaceConfig, seed: u64) -> RpForest {
+/// zero-copy view returns exactly this forest's results. Test-only.
+#[cfg(test)]
+pub(crate) fn reference_forest(points: PointStore, config: &SpaceConfig, seed: u64) -> RpForest {
     let shards = build_shards(&points, config, seed, None);
     let mut nodes: Vec<TreeNode> = Vec::new();
     let mut roots: Vec<usize> = Vec::new();

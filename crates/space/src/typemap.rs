@@ -10,9 +10,9 @@
 //! makes it predictable immediately, with no retraining — the paper's
 //! one-shot open-vocabulary mechanism.
 //!
-//! Three index states back the nearest-neighbour search: brute-force
-//! [`Index::Exact`], the in-memory [`RpForest`], and the sharded
-//! zero-copy [`SpaceIndex`] view. The sharded state supports
+//! Two index states back the nearest-neighbour search: brute-force
+//! [`Index::Exact`] and the sharded zero-copy [`SpaceIndex`] view
+//! (the paper's Annoy forest under L1). The sharded state supports
 //! *incremental* insertion: markers added after the build live in a
 //! deterministic overlay that is scanned exactly and merged with the
 //! view's hits, and once the overlay reaches the configured threshold
@@ -24,7 +24,7 @@
 
 use crate::disk::SpaceIndex;
 use crate::error::SpaceError;
-use crate::index::{self, Hit, PointStore, QueryScratch, RpForest, RpForestConfig};
+use crate::index::{self, Hit, PointStore, QueryScratch};
 use crate::shard::SpaceConfig;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -101,8 +101,6 @@ impl KnnConfig {
 enum Index {
     /// Brute force (always exact, default until an index is built).
     Exact,
-    /// Annoy-style approximate forest, in memory.
-    Forest(Box<RpForest>),
     /// Sharded zero-copy view of the on-disk index payload.
     Sharded(SpaceIndex),
     /// A sharded index existed when the map was serialized; only its
@@ -118,12 +116,27 @@ enum Index {
 /// wire form — the view's payload is persisted out-of-band as a
 /// sidecar, and serializing the in-memory variant writes the same
 /// `Detached` record (variant index 2) that deserialization reads
-/// back.
+/// back. The derive numbers variants by position, so the retired
+/// variant 1 keeps its slot.
 #[derive(Deserialize)]
 enum IndexWire {
     Exact,
-    Forest(Box<RpForest>),
+    Forest(RetiredForest),
     Detached { file_id: u64 },
+}
+
+/// Wire variant 1 once carried a serialized in-memory forest. That
+/// index state is gone, so reading the variant is a decode error
+/// rather than a misparse of the bytes behind it.
+enum RetiredForest {}
+
+impl<'de> Deserialize<'de> for RetiredForest {
+    fn deserialize<D: serde::Deserializer<'de>>(_: D) -> Result<Self, D::Error> {
+        Err(serde::de::Error::custom(
+            "type map index variant 1 (in-memory forest) is no longer supported; \
+             retrain the model or rebuild its index with `typilus index`",
+        ))
+    }
 }
 
 impl Serialize for Index {
@@ -131,7 +144,6 @@ impl Serialize for Index {
         use serde::ser::SerializeStructVariant;
         match self {
             Index::Exact => serializer.serialize_unit_variant("Index", 0, "Exact"),
-            Index::Forest(f) => serializer.serialize_newtype_variant("Index", 1, "Forest", f),
             Index::Sharded(ix) => {
                 let mut sv = serializer.serialize_struct_variant("Index", 2, "Detached", 1)?;
                 sv.serialize_field("file_id", &ix.file_id())?;
@@ -150,7 +162,7 @@ impl<'de> Deserialize<'de> for Index {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         Ok(match IndexWire::deserialize(deserializer)? {
             IndexWire::Exact => Index::Exact,
-            IndexWire::Forest(f) => Index::Forest(f),
+            IndexWire::Forest(retired) => match retired {},
             IndexWire::Detached { file_id } => Index::Detached { file_id },
         })
     }
@@ -188,9 +200,7 @@ impl TypeMap {
     /// Adds a marker binding `embedding ↦ ty`.
     ///
     /// The new marker is queryable immediately in every index state —
-    /// this is what makes the map adaptive. An in-memory forest is
-    /// invalidated (queries fall back to exact search until
-    /// [`TypeMap::build_index`] runs again). A sharded index stays
+    /// this is what makes the map adaptive. A sharded index stays
     /// attached: the marker joins a deterministic overlay that is
     /// scanned exactly and merged into every query, and once the
     /// overlay reaches the index's `rebuild_threshold` (a threshold of
@@ -211,44 +221,25 @@ impl TypeMap {
     pub fn add(&mut self, embedding: Vec<f32>, ty: PyType) -> Result<(), SpaceError> {
         self.embeddings.try_push(&embedding)?;
         self.types.push(ty);
-        enum After {
-            Nothing,
-            DropForest,
-            Rebuild { config: SpaceConfig, seed: u64 },
-        }
-        let action = match &self.index {
-            Index::Exact | Index::Detached { .. } => After::Nothing,
-            Index::Forest(_) => After::DropForest,
-            Index::Sharded(ix) => {
-                let overlay = self.embeddings.len() - ix.len();
-                if overlay >= ix.rebuild_threshold().max(1) {
-                    After::Rebuild {
-                        config: ix.config(),
-                        seed: ix.seed(),
-                    }
-                } else {
-                    After::Nothing
-                }
+        let rebuild = match &self.index {
+            Index::Sharded(ix)
+                if self.embeddings.len() - ix.len() >= ix.rebuild_threshold().max(1) =>
+            {
+                Some((ix.config(), ix.seed()))
             }
+            _ => None,
         };
-        match action {
-            After::Nothing => {}
-            After::DropForest => self.index = Index::Exact,
-            After::Rebuild { config, seed } => {
-                if let Err(e) = self.build_sharded_index(&config, seed, None) {
-                    // Rebuild failure (e.g. the map outgrew the 32-bit
-                    // id space) must not lose markers or correctness:
-                    // degrade to exact search. Warn-once so a busy
-                    // server hitting this on every add does not flood
-                    // stderr.
-                    typilus_nn::warn_once(
-                        "space.rebuild",
-                        &format!(
-                            "sharded index rebuild failed ({e}); falling back to exact search"
-                        ),
-                    );
-                    self.index = Index::Exact;
-                }
+        if let Some((config, seed)) = rebuild {
+            if let Err(e) = self.build_sharded_index(&config, seed, None) {
+                // Rebuild failure (e.g. the map outgrew the 32-bit id
+                // space) must not lose markers or correctness: degrade
+                // to exact search. Warn-once so a busy server hitting
+                // this on every add does not flood stderr.
+                typilus_nn::warn_once(
+                    "space.rebuild",
+                    &format!("sharded index rebuild failed ({e}); falling back to exact search"),
+                );
+                self.index = Index::Exact;
             }
         }
         Ok(())
@@ -265,12 +256,11 @@ impl TypeMap {
     }
 
     /// The index state backing nearest-neighbour search, as a stable
-    /// lowercase name: `"exact"`, `"forest"`, `"sharded"` or
-    /// `"detached"`. Diagnostic surface for `stats`-style endpoints.
+    /// lowercase name: `"exact"`, `"sharded"` or `"detached"`.
+    /// Diagnostic surface for `stats`-style endpoints.
     pub fn index_kind(&self) -> &'static str {
         match &self.index {
             Index::Exact => "exact",
-            Index::Forest(_) => "forest",
             Index::Sharded(_) => "sharded",
             Index::Detached { .. } => "detached",
         }
@@ -293,15 +283,6 @@ impl TypeMap {
             seen.insert(t.to_string());
         }
         seen.len()
-    }
-
-    /// Builds the in-memory approximate index (Annoy-like RP forest).
-    pub fn build_index(&mut self, config: RpForestConfig, seed: u64) {
-        self.index = Index::Forest(Box::new(RpForest::from_store(
-            self.embeddings.clone(),
-            config,
-            seed,
-        )));
     }
 
     /// Builds the sharded on-disk-format index over the current
@@ -454,7 +435,6 @@ impl TypeMap {
                 &mut scratch.heap,
                 out,
             ),
-            Index::Forest(f) => f.query_into(query, k, scratch, out),
             Index::Sharded(ix) => {
                 ix.query_into(query, k, scratch, out);
                 let base = ix.len();
@@ -539,6 +519,7 @@ impl TypeMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::RpForestConfig;
 
     fn t(s: &str) -> PyType {
         s.parse().unwrap()
@@ -623,14 +604,20 @@ mod tests {
         let mut m = filled_map(300);
         let query = vec![0.1, -0.2, 0.3, 0.0];
         let exact_top = m.predict_top(&query, KnnConfig::default()).unwrap();
-        m.build_index(
-            RpForestConfig {
-                trees: 10,
-                leaf_size: 8,
-                search_k: 300,
+        m.build_sharded_index(
+            &SpaceConfig {
+                shards: 1,
+                forest: RpForestConfig {
+                    trees: 10,
+                    leaf_size: 8,
+                    search_k: 300,
+                },
+                rebuild_threshold: 1024,
             },
             1,
-        );
+            None,
+        )
+        .unwrap();
         let approx_top = m.predict_top(&query, KnnConfig::default()).unwrap();
         assert_eq!(exact_top.ty, approx_top.ty);
     }
@@ -658,18 +645,6 @@ mod tests {
         // search_k >= n makes the sharded search exhaustive, so the
         // predictions must be identical, not merely close.
         assert_eq!(m.predict(&query, KnnConfig::default()), exact);
-    }
-
-    #[test]
-    fn adding_marker_invalidates_index() {
-        let mut m = small_map();
-        m.build_index(RpForestConfig::default(), 0);
-        m.add(vec![9.0, 9.0], t("bytes")).unwrap();
-        // The new marker must be findable immediately.
-        let top = m
-            .predict_top(&[9.0, 9.0], KnnConfig { k: 1, p: 1.0 })
-            .unwrap();
-        assert_eq!(top.ty, t("bytes"));
     }
 
     #[test]

@@ -3,9 +3,8 @@
 use proptest::prelude::*;
 use typilus_nn::{available_widths, set_simd_width};
 use typilus_space::{
-    build_payload, l1, l1_pruned, l1_pruned_reference, l1_reference, reference_forest, ExactIndex,
-    Hit, KnnConfig, PointStore, QueryScratch, RpForest, RpForestConfig, SpaceConfig, SpaceIndex,
-    TypeMap,
+    l1, l1_pruned, l1_pruned_reference, l1_reference, ExactIndex, Hit, KnnConfig, PointStore,
+    QueryScratch, RpForestConfig, SpaceConfig, SpaceIndex, TypeMap,
 };
 use typilus_types::PyType;
 
@@ -80,24 +79,6 @@ proptest! {
     }
 
     #[test]
-    fn forest_with_full_search_matches_exact(
-        points in arb_points(2..60, 3),
-        query in prop::collection::vec(-1.0f32..1.0, 3),
-        seed in 0u64..100,
-    ) {
-        let n = points.len();
-        let exact = ExactIndex::new(points.clone());
-        let forest = RpForest::build(
-            points,
-            RpForestConfig { trees: 6, leaf_size: 4, search_k: n },
-            seed,
-        );
-        let e: Vec<usize> = exact.query(&query, 5).iter().map(|h| h.index).collect();
-        let f: Vec<usize> = forest.query(&query, 5).iter().map(|h| h.index).collect();
-        prop_assert_eq!(e, f);
-    }
-
-    #[test]
     fn typemap_probabilities_form_distribution(
         points in arb_points(1..30, 3),
         query in prop::collection::vec(-1.0f32..1.0, 3),
@@ -159,44 +140,8 @@ proptest! {
         }
     }
 
-    /// The zero-copy on-disk index returns exactly the hits of the
-    /// in-memory forest the sharded build is defined against — same
-    /// indexes, same distance bits — for any shard count and seed.
-    #[test]
-    fn disk_index_query_equals_reference_forest(
-        points in arb_points(2..40, 4),
-        query in prop::collection::vec(-1.0f32..1.0, 4),
-        seed in 0u64..50,
-        shards in 1usize..5,
-        k in 1usize..8,
-    ) {
-        let mut store = PointStore::new(4);
-        for p in &points {
-            store.push(p);
-        }
-        let config = SpaceConfig {
-            shards,
-            forest: RpForestConfig { trees: 5, leaf_size: 4, search_k: 64 },
-            rebuild_threshold: 8,
-        };
-        let names: Vec<String> =
-            (0..points.len()).map(|i| format!("t{}", i % 3)).collect();
-        let payload = build_payload(&store, &names, &config, seed, None).expect("build");
-        let index = SpaceIndex::from_payload(&payload).expect("open");
-        let forest = reference_forest(store, &config, seed);
-        let mut scratch = QueryScratch::new();
-        let mut disk_hits = Vec::new();
-        index.query_into(&query, k, &mut scratch, &mut disk_hits);
-        let mem_hits = forest.query(&query, k);
-        prop_assert_eq!(disk_hits.len(), mem_hits.len());
-        for (d, m) in disk_hits.iter().zip(&mem_hits) {
-            prop_assert_eq!(d.index, m.index);
-            prop_assert_eq!(d.distance.to_bits(), m.distance.to_bits());
-        }
-    }
-
     /// `query_into` with dirty, reused buffers returns exactly what the
-    /// allocating `query` does, for both index kinds.
+    /// allocating `query` does, for the exact and the sharded index.
     #[test]
     fn query_into_with_reused_buffers_matches_query(
         points in arb_points(2..40, 3),
@@ -206,19 +151,22 @@ proptest! {
     ) {
         let n = points.len();
         let exact = ExactIndex::new(points.clone());
-        let forest = RpForest::build(
-            points,
-            RpForestConfig { trees: 4, leaf_size: 4, search_k: n },
-            seed,
-        );
+        let store = PointStore::from_rows(points);
+        let config = SpaceConfig {
+            shards: 1,
+            forest: RpForestConfig { trees: 4, leaf_size: 4, search_k: n },
+            rebuild_threshold: 8,
+        };
+        let names: Vec<String> = (0..n).map(|i| format!("t{}", i % 3)).collect();
+        let sharded = SpaceIndex::build(&store, &names, &config, seed, None).expect("build");
         let mut scratch = QueryScratch::new();
         // Pre-soiled output: query_into must fully overwrite it.
         let mut out = vec![Hit { index: usize::MAX, distance: f32::NAN }];
         for q in &queries {
             exact.query_into(q, k, &mut scratch, &mut out);
             prop_assert_eq!(&out, &exact.query(q, k));
-            forest.query_into(q, k, &mut scratch, &mut out);
-            prop_assert_eq!(&out, &forest.query(q, k));
+            sharded.query_into(q, k, &mut scratch, &mut out);
+            prop_assert_eq!(&out, &sharded.query(q, k));
         }
     }
 

@@ -329,27 +329,42 @@ impl FromStr for PyType {
     type Err = ParseTypeError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut p = TypeParser {
-            text: s,
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        let ty = p.parse_union()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(ParseTypeError::new(
-                s,
-                format!("trailing input at byte {}", p.pos),
-            ));
-        }
-        Ok(ty)
+        parse_nested(s, 0)
     }
+}
+
+/// Deepest nesting of `[` argument lists, Callable parameter lists and
+/// quoted annotations the parser accepts. The parser recurses once per
+/// level, so without a cap a long run of `List[` overflows the thread's
+/// stack, which aborts the process. Real annotations stay in single
+/// digits.
+const MAX_TYPE_NESTING: usize = 100;
+
+/// Parses `s` as an annotation found `depth` levels deep.
+fn parse_nested(s: &str, depth: usize) -> Result<PyType, ParseTypeError> {
+    let mut p = TypeParser {
+        text: s,
+        bytes: s.as_bytes(),
+        pos: 0,
+        depth,
+    };
+    let ty = p.parse_union()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(ParseTypeError::new(
+            s,
+            format!("trailing input at byte {}", p.pos),
+        ));
+    }
+    Ok(ty)
 }
 
 struct TypeParser<'s> {
     text: &'s str,
     bytes: &'s [u8],
     pos: usize,
+    /// Nesting level of the position being parsed.
+    depth: usize,
 }
 
 impl TypeParser<'_> {
@@ -369,6 +384,16 @@ impl TypeParser<'_> {
 
     fn err(&self, reason: impl Into<String>) -> ParseTypeError {
         ParseTypeError::new(self.text, reason)
+    }
+
+    /// Enters one nesting level; past [`MAX_TYPE_NESTING`] the parse
+    /// fails instead of recursing further.
+    fn descend(&mut self) -> Result<(), ParseTypeError> {
+        self.depth += 1;
+        if self.depth > MAX_TYPE_NESTING {
+            return Err(self.err(format!("nested deeper than {MAX_TYPE_NESTING} levels")));
+        }
+        Ok(())
     }
 
     /// `atom ('|' atom)*` — PEP 604 unions.
@@ -411,7 +436,8 @@ impl TypeParser<'_> {
                     return Err(self.err("unterminated quoted annotation"));
                 }
                 self.pos += 1;
-                inner.parse()
+                self.descend()?;
+                parse_nested(&inner, self.depth)
             }
             Some(c) if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = self.pos;
@@ -434,7 +460,9 @@ impl TypeParser<'_> {
         let name = canonical_name(raw_name);
         let args = if self.peek() == Some(b'[') {
             self.pos += 1;
+            self.descend()?;
             let args = self.parse_args()?;
+            self.depth -= 1;
             self.skip_ws();
             if self.peek() != Some(b']') {
                 return Err(self.err("missing closing `]`"));
@@ -497,7 +525,9 @@ impl TypeParser<'_> {
             if self.peek() == Some(b'[') {
                 // Callable parameter list.
                 self.pos += 1;
+                self.descend()?;
                 let inner = self.parse_args()?;
+                self.depth -= 1;
                 self.skip_ws();
                 if self.peek() != Some(b']') {
                     return Err(self.err("missing `]` closing parameter list"));
@@ -600,6 +630,56 @@ mod tests {
             t("List['Node']"),
             PyType::generic("List", vec![PyType::named("Node")])
         );
+    }
+
+    /// `levels` nested `List[`, around `int`.
+    fn nested_list(levels: usize) -> String {
+        format!("{}int{}", "List[".repeat(levels), "]".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let ty = t(&nested_list(MAX_TYPE_NESTING));
+        assert_eq!(ty.to_string(), nested_list(MAX_TYPE_NESTING));
+        let err = nested_list(MAX_TYPE_NESTING + 1)
+            .parse::<PyType>()
+            .expect_err("one level past the cap");
+        assert!(err.to_string().contains("nested deeper than"), "{err}");
+        // Callable parameter lists count as a level too.
+        let callable = format!(
+            "{}Callable[[int], int]{}",
+            "List[".repeat(MAX_TYPE_NESTING - 1),
+            "]".repeat(MAX_TYPE_NESTING - 1)
+        );
+        assert!(callable.parse::<PyType>().is_err());
+    }
+
+    #[test]
+    fn quoted_annotations_carry_the_depth() {
+        let half = MAX_TYPE_NESTING / 2;
+        let quoted = |inner: usize| {
+            format!(
+                "{}'{}'{}",
+                "List[".repeat(half),
+                nested_list(inner),
+                "]".repeat(half)
+            )
+        };
+        // The quote itself is one level.
+        assert!(quoted(half - 1).parse::<PyType>().is_ok());
+        assert!(quoted(half).parse::<PyType>().is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let text = nested_list(100_000);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || text.parse::<PyType>().is_err())
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread must not crash");
+        assert!(result, "100 000 nested levels must be rejected");
     }
 
     #[test]

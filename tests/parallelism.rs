@@ -117,19 +117,22 @@ fn arena_tape_preserves_parallel_bit_identity() {
 }
 
 #[test]
-fn pooled_engine_matches_spawn_per_call_primitive() {
-    // The persistent pool replaced the spawn-per-call crossbeam engine;
-    // both primitives must still agree bit-for-bit on the same jobs, so
-    // the pipeline's guarantees carry over unchanged.
+fn pooled_engine_matches_sequential_map() {
+    // The persistent pool must agree bit-for-bit with the sequential
+    // loop on the same jobs at every thread count, so the pipeline's
+    // guarantees hold whatever the pool size.
     let items: Vec<f32> = (0..173).map(|i| (i as f32).sin() * 0.01).collect();
+    let sequential: Vec<u32> = items
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| (x * x + i as f32).to_bits())
+        .collect();
     for threads in [2, 4, 7] {
         let pool = typilus_nn::WorkerPool::new(threads);
         let pooled: Vec<u32> = pool.map_ordered(&items, |i, &x| (x * x + i as f32).to_bits());
-        let spawned: Vec<u32> =
-            typilus_nn::par_map_ordered(&items, threads, |i, &x| (x * x + i as f32).to_bits());
         assert_eq!(
-            pooled, spawned,
-            "pool and spawn-per-call disagree at {threads} threads"
+            pooled, sequential,
+            "pool and sequential map disagree at {threads} threads"
         );
     }
 }

@@ -296,6 +296,36 @@ fn failures_are_typed_replies_not_panics() {
     shutdown_and_join(&endpoint, handle);
 }
 
+/// A type string nested far past the parser's cap gets a `bad_type`
+/// reply instead of overflowing the engine thread's stack, and the
+/// daemon goes on serving predictions identical to one-shot output.
+#[test]
+fn deeply_nested_marker_type_is_rejected_and_server_keeps_serving() {
+    let want: Vec<SymbolHints> = fresh_system()
+        .predict_source(QUERY_SRC)
+        .unwrap()
+        .iter()
+        .map(SymbolHints::of)
+        .collect();
+    let (endpoint, handle) = start_server(ServeOptions::default());
+    let mut client = Client::connect(&endpoint).unwrap();
+    let levels = 10_000;
+    let request = Request::AddMarker {
+        source: "def f(x):\n    return x\n".to_string(),
+        symbol: "x".to_string(),
+        ty: format!("{}int{}", "List[".repeat(levels), "]".repeat(levels)),
+    };
+    match client.roundtrip(&request).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadType),
+        other => panic!("expected a bad_type error, got {other:?}"),
+    }
+    match client.predict(QUERY_SRC).unwrap() {
+        Response::Predictions(got) => assert_eq!(got, want),
+        other => panic!("expected predictions, got {other:?}"),
+    }
+    shutdown_and_join(&endpoint, handle);
+}
+
 #[test]
 fn reindex_and_stats_report_the_map_state() {
     let (endpoint, handle) = start_server(ServeOptions::default());

@@ -171,3 +171,75 @@ fn missing_sidecar_degrades_to_exact_search() {
     assert_identical_predictions(system, &loaded, data);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Index wire variant 1 held the retired in-memory forest. A model
+/// whose type map carries it is a typed codec error on load, not a
+/// panic and not a misparse of the bytes behind the tag.
+#[test]
+fn retired_forest_index_variant_is_a_typed_load_error() {
+    let (system, _) = sharded_system();
+    let file_id = system
+        .type_map
+        .space_index()
+        .expect("index built")
+        .file_id();
+    let mut bytes = system.to_bytes().expect("encode");
+    // A sharded map serializes as the `Detached` record: variant tag 2
+    // (u32 LE) followed by the sidecar's `file_id` (u64 LE).
+    let mut record = 2u32.to_le_bytes().to_vec();
+    record.extend_from_slice(&file_id.to_le_bytes());
+    let at: Vec<usize> = bytes
+        .windows(record.len())
+        .enumerate()
+        .filter(|(_, w)| *w == record.as_slice())
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(at.len(), 1, "the index record must occur exactly once");
+    bytes[at[0]..at[0] + 4].copy_from_slice(&1u32.to_le_bytes());
+
+    let dir = work_dir("retired_variant");
+    let model = dir.join("model.typilus");
+    typilus::atomic_io::write_artifact(&model, &bytes).expect("write artifact");
+    match TrainedSystem::load(&model) {
+        Err(PersistError::Codec(e)) => {
+            assert!(e.to_string().contains("in-memory forest"), "{e}");
+        }
+        Err(other) => panic!("expected a codec error, got {other}"),
+        Ok(_) => panic!("a model with the retired index variant must not load"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What `train --index sharded --shards 1` asks for: the approximate
+/// index is built sharded even with one shard, saved as a sidecar, and
+/// the loaded model predicts bit-identically to the in-memory system.
+#[test]
+fn one_shard_training_builds_a_sidecar_index_that_round_trips() {
+    let (base, data) = sharded_system();
+    let config = TypilusConfig {
+        approximate_index: true,
+        space: SpaceConfig {
+            shards: 1,
+            ..SpaceConfig::default()
+        },
+        ..base.config
+    };
+    let system = train(data, &config);
+    let index = system
+        .type_map
+        .space_index()
+        .expect("one shard still builds the sharded index");
+    assert_eq!(index.shard_count(), 1);
+
+    let dir = work_dir("one_shard");
+    let model = dir.join("model.typilus");
+    system.save(&model).expect("save");
+    assert!(
+        space_sidecar_path(&model).exists(),
+        "save must write the sidecar"
+    );
+    let loaded = TrainedSystem::load(&model).expect("load");
+    assert_eq!(loaded.type_map.index_kind(), "sharded");
+    assert_identical_predictions(&system, &loaded, data);
+    std::fs::remove_dir_all(&dir).ok();
+}

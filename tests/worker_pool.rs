@@ -33,8 +33,7 @@ fn fixture(seed: u64) -> (TypeModel, Vec<PreparedFile>) {
 }
 
 /// A full train step through pools of 1, 2 and 7 workers produces
-/// bit-identical losses and gradients — and agrees with the
-/// spawn-per-call engine the pool replaced.
+/// bit-identical losses and gradients.
 #[test]
 fn full_train_step_is_bit_identical_across_pool_sizes() {
     let (model, prepared) = fixture(3);
@@ -50,18 +49,14 @@ fn full_train_step_is_bit_identical_across_pool_sizes() {
             loss.to_bits(),
             "loss differs at {workers} workers"
         );
-        let (spawn_loss, spawn_grads) = model.train_step_spawning(&batch, workers).unwrap();
-        assert_eq!(base_loss.to_bits(), spawn_loss.to_bits());
-        for (pooled, spawned) in [(&grads, &base_grads), (&spawn_grads, &grads)] {
-            for ((id_a, ga), (id_b, gb)) in pooled.iter().zip(spawned.iter()) {
-                assert_eq!(id_a, id_b);
-                for (a, b) in ga.as_slice().iter().zip(gb.as_slice()) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "gradient differs at {workers} workers"
-                    );
-                }
+        for ((id_a, ga), (id_b, gb)) in grads.iter().zip(base_grads.iter()) {
+            assert_eq!(id_a, id_b);
+            for (a, b) in ga.as_slice().iter().zip(gb.as_slice()) {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "gradient differs at {workers} workers"
+                );
             }
         }
     }
